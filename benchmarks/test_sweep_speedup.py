@@ -2,15 +2,15 @@
 
 Runs the same multi-point sweep (a Fig. 12-style workload x ratio x
 system grid) through the serial executor and a 4-worker process pool —
-a *cold* pool pass (first ``run``, pool startup + trace-plane publish
-on the clock) and a *warm* pass (same executor re-run: workers already
-forked, hot modules imported, per-worker caches populated) — asserts
-the per-job reports are bit-identical, and *appends* one record to the
-``BENCH_sweep.json`` perf trajectory
+a *cold* pool pass (first ``run``, parent-side trace build + pool
+startup on the clock) and a *warm* pass (same executor re-run: workers
+already forked, hot modules imported, per-worker caches populated) —
+asserts the per-job reports are bit-identical, and *appends* one record
+to the ``BENCH_sweep.json`` perf trajectory
 (:mod:`repro.experiments.trajectory`): engine throughput, per-phase
 wall-clock split (from one telemetry-instrumented job), the dispatch
-overhead breakdown (``trace_build`` / ``job_pickle`` / ``shm_attach``
-/ ``worker_warmup``), sweep wall clocks, and cache hit rates measured
+overhead breakdown (``trace_build`` / ``job_pickle`` /
+``worker_warmup``), sweep wall clocks, and cache hit rates measured
 honestly — an explicit cold pass against a fresh cache (every lookup
 must miss) and a warm replay (every lookup must hit), instead of the
 old single 100 %-by-construction number.  CI's regression gate
@@ -83,7 +83,7 @@ def test_sweep_parallel_speedup(benchmark, tmp_path):
         # the pool passes pin caching OFF — their contract is raw
         # execution wall clock, and a warm cache would turn them into
         # pickle loads.  Cold = first run of a fresh executor (pool
-        # startup, trace-plane publish, worker warmup on the clock);
+        # startup, parent-side trace build, worker warmup on the clock);
         # warm = the same executor again (workers alive, hot modules
         # imported, per-worker trace/memo caches populated).
         pool = SweepExecutor(workers=PARALLEL_WORKERS, cache_dir="")

@@ -8,7 +8,7 @@ CXL-Native Memory Tiering* (Zhou, Chen, et al.).  The package provides:
   MMIO commands), its driver, the Algorithm-1 dynamic threshold policy,
   and the NeoMem kernel daemon;
 * :mod:`repro.memsim` — the tiered-memory machine substrate (caches,
-  TLB, page tables, NUMA tiers, LRU-2Q, migration, epoch engine);
+  page tables, NUMA tiers, LRU-2Q, migration, epoch engine);
 * :mod:`repro.profilers` / :mod:`repro.policies` — the baseline
   profiling techniques and tiering systems the paper compares against;
 * :mod:`repro.workloads` — synthetic trace generators for the

@@ -1,4 +1,4 @@
-"""Repo-specific rule classes: DET, HOT, PKL, TEL, SHM.
+"""Repo-specific rule classes: DET, HOT, PKL, TEL.
 
 Every rule code is stable (baselines and suppressions reference it) and
 carries a fix-it in its message.  The rule families enforce the
@@ -19,10 +19,6 @@ fan-in, and the vectorized hot path rely on:
 * **TEL** — telemetry discipline: phase spans only as context
   managers, metric objects only through the registry, MigrationStats
   drained only by its owner (everyone else ``peek()``\\ s).
-* **SHM** — shared-memory ownership: ``SharedMemory`` segments are
-  created, attached, closed and unlinked by the trace plane's registry
-  (:mod:`repro.experiments.traceplane`); a bare construction elsewhere
-  is a /dev/shm leak waiting for its first exception.
 """
 
 from __future__ import annotations
@@ -473,38 +469,7 @@ class TelemetryRule(Rule):
         return origin.startswith("repro.telemetry")
 
 
-# ----------------------------------------------------------------------
-# SHM — shared-memory segment ownership
-# ----------------------------------------------------------------------
-class SharedMemoryRule(Rule):
-    codes = {
-        "SHM001": "bare multiprocessing SharedMemory construction outside "
-        "repro.experiments — segments must be owned by the trace plane's "
-        "registry or they leak in /dev/shm on error paths",
-    }
-
-    @classmethod
-    def applies(cls, ctx: ModuleContext) -> bool:
-        # the trace plane (repro/experiments/traceplane.py) is the
-        # designated segment owner; its package may construct freely
-        return not _in_tree(ctx.rel, "repro/experiments")
-
-    def visit_Call(self, node: ast.Call) -> None:
-        full = qualified_name(self.ctx, node.func) or ""
-        if full == "multiprocessing.shared_memory.SharedMemory" or (
-            isinstance(node.func, ast.Name) and node.func.id == "SharedMemory"
-        ):
-            self.ctx.report(
-                node,
-                "SHM001",
-                "SharedMemory() constructed outside repro.experiments — "
-                "segment lifetime (create/attach/close/unlink, fork AND "
-                "spawn) is owned by repro.experiments.traceplane; publish "
-                "through a TracePlane or attach via worker_trace()",
-            )
-
-
-ALL_RULES = [DeterminismRule, HotPathRule, PicklabilityRule, TelemetryRule, SharedMemoryRule]
+ALL_RULES = [DeterminismRule, HotPathRule, PicklabilityRule, TelemetryRule]
 
 
 def build_rules(ctx: ModuleContext) -> list[Rule]:

@@ -39,15 +39,14 @@ def seed_runner(spec) -> float:
 
 def raising_runner(spec):
     """Custom runner that always fails — exercises the executor's
-    cleanup paths (the trace plane must release its segments even when
-    a job blows up mid-sweep)."""
+    error path (the job's exception must reach the caller and the
+    executor must stay usable)."""
     raise RuntimeError(f"raising_runner: {spec.label()}")
 
 
 def exit_runner(spec) -> None:
-    """Custom runner that kills its worker process outright — the
-    hardest cleanup case: the pool breaks (BrokenProcessPool) and the
-    worker never gets to run any teardown."""
+    """Custom runner that kills its worker process outright — the pool
+    breaks (BrokenProcessPool) and must be disposed and rebuilt."""
     import os
 
     os._exit(13)

@@ -8,11 +8,10 @@ touching the executor's dedup/cache logic:
 
 * :class:`SerialBackend` — in-process, deterministic, no pool overhead.
 * :class:`ProcessPoolBackend` — a *persistent, warm*
-  ``ProcessPoolExecutor`` fan-out: workers start once (pre-importing
-  the hot modules), jobs ship as pre-pickled chunks in heaviest-first
-  order, and traces arrive through the shared-memory trace plane
-  (:mod:`repro.experiments.traceplane`) instead of being regenerated
-  per worker.
+  ``ProcessPoolExecutor`` fan-out: before the pool starts, the parent
+  builds the batch's workload traces so forked workers inherit them;
+  workers start once (pre-importing the hot modules) and jobs ship as
+  pre-pickled chunks in heaviest-first order.
 * :class:`ShardedBackend` — the first *distributed* backend: it
   deterministically partitions the job list (:func:`shard_assignment`)
   and executes only its own shard, leaving :data:`SHARD_SKIPPED`
@@ -20,11 +19,8 @@ touching the executor's dedup/cache logic:
   nodes) each run one shard against a private cache directory;
   :func:`merge_shards` then fans the per-shard caches into one
   directory, erroring on key collisions whose payloads disagree.
-  Assignment is cost-weighted LPT by default — per-job weights mined
-  from manifest ``wall_s`` history, a pages×batches heuristic on cold
-  caches (:mod:`repro.experiments.scheduling`) — with
-  ``REPRO_SWEEP_SCHEDULER=hash`` restoring PR 5's content-hash
-  round-robin (:func:`shard_of`).  Either way assignment keys off
+  Assignment is the content hash modulo the shard count
+  (:func:`shard_of`): it keys off
   :func:`~repro.experiments.sweep.job_key` — not list position — so it
   is stable under job reordering and two shards can never execute (or
   cache) conflicting entries for one key.
@@ -41,24 +37,20 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import sys
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.experiments import traceplane
-from repro.experiments.scheduling import (
-    lpt_assignment,
-    job_weights,
-    resolve_scheduler,
-    SCHEDULER_HASH,
-    submission_order,
-)
+from repro.experiments import runner, traceplane
 from repro.experiments.sweep import (
+    DEFAULT_RUNNER,
     JobSpec,
     SweepError,
+    _env_int,
     _execute_job,
     job_key,
 )
@@ -74,7 +66,6 @@ __all__ = [
     "SHARD_SKIPPED",
     "is_shard_skipped",
     "shard_of",
-    "shard_assignment",
     "partition",
     "merge_shards",
     "make_backend",
@@ -83,7 +74,6 @@ __all__ = [
     "BACKEND_ENV",
     "SHARD_ENV",
     "NUM_SHARDS_ENV",
-    "CHUNK_ENV",
 ]
 
 #: force a named backend ("serial", "process-pool", "sharded")
@@ -92,8 +82,6 @@ BACKEND_ENV = "REPRO_SWEEP_BACKEND"
 SHARD_ENV = "REPRO_SWEEP_SHARD"
 #: total number of shards splitting the job list
 NUM_SHARDS_ENV = "REPRO_SWEEP_NUM_SHARDS"
-#: jobs per pool submission (default: auto-sized from batch and workers)
-CHUNK_ENV = "REPRO_SWEEP_CHUNK"
 
 
 class ShardMergeError(SweepError):
@@ -119,10 +107,6 @@ class ExecutionBackend(ABC):
     """
 
     name: str = "?"
-    #: True when the backend ships jobs to other processes that can
-    #: attach the shared-memory trace plane (the executor only pays the
-    #: plane's publish cost for such backends)
-    uses_plane: bool = False
 
     def __init__(self) -> None:
         self.last_job_wall_ns: list[int | None] = []
@@ -134,19 +118,12 @@ class ExecutionBackend(ABC):
         specs: Sequence[JobSpec],
         unpicklable: str = "error",
         keys: Sequence[str] | None = None,
-        weights: Mapping[str, float] | None = None,
-        plane_table: dict | None = None,
     ) -> list:
         """Run every spec, returning sanitized results in spec order.
 
         ``keys`` are the specs' precomputed :func:`job_key` hashes when
         the caller already has them (the executor always does); backends
-        that partition by key use them instead of re-hashing.
-        ``weights`` maps job keys (covering at least the given specs —
-        the executor passes the whole run's key set so sharded
-        assignment sees the full list) to relative costs for LPT
-        scheduling; ``plane_table`` is the shared-memory trace-plane
-        descriptor table to install in workers.
+        that partition or order by key use them instead of re-hashing.
         """
 
     def close(self) -> None:
@@ -157,33 +134,28 @@ class ExecutionBackend(ABC):
         return self.name
 
 
-def _timed_execute_job(payload: tuple[JobSpec, str]):
-    """Run one job under a local wall-clock span; returns
-    ``(result, wall_ns)``.  The span comes from a private metrics-mode
-    Telemetry so measurement works regardless of the global mode."""
-    tel = Telemetry(MODE_METRICS)
-    with tel.span("job"):
-        result = _execute_job(payload)
-    return result, tel.phase_totals().get("job", 0)
-
-
-def _execute_chunk(blob: bytes, plane_table: dict | None):
-    """Process-pool entry point for one pre-pickled chunk of payloads.
-
-    Installs the trace-plane table (so the runner's trace-cache misses
-    attach shared memory instead of regenerating), runs every payload,
-    and ships back per-job wall clocks plus this worker's accumulated
-    dispatch-overhead ns (attach + warmup, consume-once).
-    """
-    if plane_table:
-        traceplane.install_table(plane_table)
-    payloads = pickle.loads(blob)
+def _run_payloads(payloads: Sequence[tuple[JobSpec, str]]) -> tuple[list, list[int]]:
+    """Run ``(spec, unpicklable)`` payloads in order; returns the results
+    and each job's wall-clock ns.  Each job is timed under a span of a
+    private metrics-mode Telemetry, so measurement works regardless of
+    the global mode."""
     results = []
     walls = []
     for payload in payloads:
-        result, wall_ns = _timed_execute_job(payload)
-        results.append(result)
-        walls.append(wall_ns)
+        tel = Telemetry(MODE_METRICS)
+        with tel.span("job"):
+            results.append(_execute_job(payload))
+        walls.append(tel.phase_totals().get("job", 0))
+    return results, walls
+
+
+def _execute_chunk(blob: bytes):
+    """Process-pool entry point for one pre-pickled chunk of payloads.
+
+    Runs every payload and ships back per-job wall clocks plus this
+    worker's accumulated dispatch-overhead ns (warmup, consume-once).
+    """
+    results, walls = _run_payloads(pickle.loads(blob))
     return results, walls, traceplane.consume_worker_ns()
 
 
@@ -198,44 +170,108 @@ class SerialBackend(ExecutionBackend):
         specs: Sequence[JobSpec],
         unpicklable: str = "error",
         keys: Sequence[str] | None = None,
-        weights: Mapping[str, float] | None = None,
-        plane_table: dict | None = None,
     ) -> list:
         self.last_dispatch_ns = {}
-        results = []
-        walls: list[int | None] = []
-        for spec in specs:
-            result, wall_ns = _timed_execute_job((spec, unpicklable))
-            results.append(result)
-            walls.append(wall_ns)
-        self.last_job_wall_ns = walls
+        results, self.last_job_wall_ns = _run_payloads([(spec, unpicklable) for spec in specs])
         return results
 
 
 def _chunk_size_for(n_jobs: int, workers: int) -> int:
-    """Jobs per pool submission: ``REPRO_SWEEP_CHUNK`` when set, else
-    sized so each worker sees ~4 chunks — big enough to amortize pickle
-    and IPC, small enough that LPT ordering still balances the tail."""
-    explicit = _env_int(CHUNK_ENV)
-    if explicit is not None:
-        if explicit < 1:
-            raise SweepError(f"{CHUNK_ENV} must be >= 1, got {explicit}")
-        return explicit
+    """Jobs per pool submission, sized so each worker sees ~4 chunks —
+    big enough to amortize pickle and IPC, small enough that the
+    heaviest-first order still balances the tail."""
     return max(1, min(32, -(-n_jobs // (workers * 4))))
+
+
+def _job_cost(spec: JobSpec) -> float:
+    """Cost estimate from the spec alone: RSS pages x batches.
+
+    Simulated wall clock is dominated by accesses processed, and the
+    access count scales with the workload's page footprint times its
+    batch count.
+    """
+    config = spec.resolved_config()
+    try:
+        pages = int(spec.workload_overrides.get("num_pages", 0))
+        if pages <= 0:
+            pages = runner.workload_pages(spec.workload, config)
+        batches = int(spec.workload_overrides.get("total_batches", 0))
+        if batches <= 0:
+            batches = config.batches
+    except Exception:
+        pages, batches = config.num_pages, config.batches
+    return float(max(1, pages)) * float(max(1, batches))
+
+
+def _heaviest_first(specs: Sequence[JobSpec], keys: Sequence[str]) -> list[int]:
+    """Indices into ``specs``, heaviest job first, ties by job key.
+
+    A pure function of the job identities: reordering the input or
+    changing a ``tag`` cannot change which job is submitted when.
+    """
+    return sorted(range(len(specs)), key=lambda i: (-_job_cost(specs[i]), keys[i]))
+
+
+def _build_traces(specs: Sequence[JobSpec]) -> None:
+    """Fill the runner's trace cache with the batch's distinct traces.
+
+    Called in the parent just before a pool starts, so forked workers
+    inherit every trace instead of each regenerating it.  Only
+    standard-runner jobs with a keyable workload count, at most as many
+    traces as the cache holds; anything skipped (or failing) is simply
+    regenerated in the worker, bit-identically.
+    """
+    seen: set[tuple] = set()
+    keys: set[tuple] = set()
+    for spec in specs:
+        if len(keys) >= runner._TRACE_CACHE_MAX:
+            return
+        if spec.runner != DEFAULT_RUNNER:
+            continue
+        config = spec.resolved_config()
+        ident = (
+            spec.workload,
+            tuple(sorted((str(k), repr(v)) for k, v in spec.workload_overrides.items())),
+            tuple(sorted((str(k), repr(v)) for k, v in spec.engine_overrides.items())),
+            repr(config),
+        )
+        if ident in seen:
+            continue
+        seen.add(ident)
+        try:
+            workload = runner.build_workload(spec.workload, config, **spec.workload_overrides)
+            seed = config.engine_config(**spec.engine_overrides).seed
+            key = runner._workload_trace_key(workload, seed)
+            if key is None or key in keys:
+                continue
+            runner.materialize_trace(workload, seed, key)
+        except Exception:
+            continue
+        keys.add(key)
 
 
 class ProcessPoolBackend(ExecutionBackend):
     """Fan jobs over a persistent, warm ``ProcessPoolExecutor``.
 
+    When the pool is about to start, the parent first builds each
+    distinct workload trace of the batch into the runner's trace cache
+    (timed as ``trace_build``); forked workers inherit that cache, so
+    no worker regenerates a trace.  On Linux the pool asks for the
+    ``fork`` start method explicitly rather than relying on the
+    interpreter's default; elsewhere (or with an explicit
+    ``start_method``) workers that cannot inherit simply regenerate,
+    bit-identically, and the parent skips the build.
+
     The pool outlives ``execute`` calls: workers start once (running
     :func:`repro.experiments.traceplane.pool_initializer`, which
     pre-imports the hot modules) and keep their process-level caches —
-    attached shared-memory traces, derived-account memos, H3 XOR
-    tables — across batches, so consecutive jobs on a warm worker skip
-    setup entirely.  Jobs ship as pre-pickled chunks (amortizing
-    pickle/IPC, measured under a ``job_pickle`` span) in heaviest-first
-    LPT order.  A batch of one job (or ``workers=1``) runs inline — the
-    pool buys nothing there.
+    traces, derived-account memos, H3 XOR tables — across batches, so
+    consecutive jobs on a warm worker skip setup entirely.  A warm pool
+    gets no parent-side build: its workers forked before any new trace
+    existed.  Jobs ship as pre-pickled chunks (amortizing pickle/IPC,
+    measured under a ``job_pickle`` span) heaviest first.  A batch of
+    one job (or ``workers=1``) runs inline — the pool buys nothing
+    there.
 
     Call :meth:`close` (or let the executor's context manager do it) to
     shut the pool down; a broken pool (worker crash) is disposed and
@@ -243,35 +279,37 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     name = "process-pool"
-    uses_plane = True
 
-    def __init__(
-        self,
-        workers: int,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-    ):
+    def __init__(self, workers: int, start_method: str | None = None):
         super().__init__()
         if workers < 1:
             raise SweepError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise SweepError(f"chunk_size must be >= 1, got {chunk_size}")
         self.workers = workers
-        self.chunk_size = chunk_size
         self.start_method = start_method
         self._pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------
+    def _context(self):
+        method = self.start_method
+        if method is None and sys.platform.startswith("linux"):
+            method = "fork"
+        return multiprocessing.get_context(method)
+
+    def _build_for_fork(self, specs: Sequence[JobSpec]) -> int:
+        """Build the batch's traces for a pool about to fork; the ns it
+        took (0 when the workers will not inherit the parent's memory)."""
+        if self._context().get_start_method() != "fork":
+            return 0
+        tel = Telemetry(MODE_METRICS)
+        with tel.span("trace_build"):
+            _build_traces(specs)
+        return tel.phase_totals().get("trace_build", 0)
+
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method
-                else None
-            )
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=context,
+                mp_context=self._context(),
                 initializer=traceplane.pool_initializer,
             )
         return self._pool
@@ -298,24 +336,16 @@ class ProcessPoolBackend(ExecutionBackend):
         specs: Sequence[JobSpec],
         unpicklable: str = "error",
         keys: Sequence[str] | None = None,
-        weights: Mapping[str, float] | None = None,
-        plane_table: dict | None = None,
     ) -> list:
         self.last_dispatch_ns = {}
         if self.workers <= 1 or len(specs) <= 1:
-            results = []
-            walls: list[int | None] = []
-            for spec in specs:
-                result, wall_ns = _timed_execute_job((spec, unpicklable))
-                results.append(result)
-                walls.append(wall_ns)
-            self.last_job_wall_ns = walls
+            results, self.last_job_wall_ns = _run_payloads([(spec, unpicklable) for spec in specs])
             return results
 
         if keys is None:
             keys = [job_key(spec) for spec in specs]
-        order = submission_order(keys, weights)
-        chunk_size = self.chunk_size or _chunk_size_for(len(specs), self.workers)
+        order = _heaviest_first(specs, keys)
+        chunk_size = _chunk_size_for(len(specs), self.workers)
         chunks = [order[i : i + chunk_size] for i in range(0, len(order), chunk_size)]
 
         # pre-pickling in the parent (rather than letting the pool's
@@ -329,12 +359,14 @@ class ProcessPoolBackend(ExecutionBackend):
                 payloads = [(specs[i], unpicklable) for i in chunk]
                 blobs.append(pickle.dumps(payloads, protocol=pickle.HIGHEST_PROTOCOL))
 
+        dispatch = {"job_pickle": tel.phase_totals().get("job_pickle", 0)}
+        if self._pool is None:
+            dispatch["trace_build"] = self._build_for_fork(specs)
         pool = self._ensure_pool()
         try:
-            futures = [pool.submit(_execute_chunk, blob, plane_table) for blob in blobs]
+            futures = [pool.submit(_execute_chunk, blob) for blob in blobs]
             results: list = [None] * len(specs)
             walls = [None] * len(specs)
-            dispatch = {"job_pickle": tel.phase_totals().get("job_pickle", 0)}
             for chunk, future in zip(chunks, futures):
                 chunk_results, chunk_walls, worker_ns = future.result()
                 for i, result, wall_ns in zip(chunk, chunk_results, chunk_walls):
@@ -406,43 +438,10 @@ def shard_of(spec: JobSpec, num_shards: int) -> int:
     return _shard_of_key(job_key(spec), num_shards)
 
 
-def shard_assignment(
-    specs: Sequence[JobSpec],
-    num_shards: int,
-    keys: Sequence[str] | None = None,
-    weights: Mapping[str, float] | None = None,
-    scheduler: str | None = None,
-) -> dict[str, int]:
-    """Job key -> owning shard for a whole job list.
-
-    The default (``REPRO_SWEEP_SCHEDULER=cost``) packs keys onto shards
-    longest-processing-time-first using manifest-mined or heuristic
-    weights (:mod:`repro.experiments.scheduling`); ``hash`` restores the
-    PR 5 content-hash round-robin.  Either way assignment is a pure
-    function of job identities (plus weights), so it is reorder-stable,
-    disjoint and exhaustive, and a tag change can never move a job.
-    """
-    _validate_sharding(0, num_shards)
-    if keys is None:
-        keys = [job_key(spec) for spec in specs]
-    if resolve_scheduler(scheduler) == SCHEDULER_HASH:
-        return {key: _shard_of_key(key, num_shards) for key in keys}
-    if weights is None:
-        weights = job_weights(specs, keys)
-    return lpt_assignment(weights, num_shards)
-
-
-def partition(
-    specs: Sequence[JobSpec],
-    shard: int,
-    num_shards: int,
-    scheduler: str | None = None,
-) -> list[JobSpec]:
+def partition(specs: Sequence[JobSpec], shard: int, num_shards: int) -> list[JobSpec]:
     """The sub-list of ``specs`` owned by ``shard``, in input order."""
     _validate_sharding(shard, num_shards)
-    keys = [job_key(spec) for spec in specs]
-    assignment = shard_assignment(specs, num_shards, keys=keys, scheduler=scheduler)
-    return [spec for spec, key in zip(specs, keys) if assignment[key] == shard]
+    return [spec for spec in specs if _shard_of_key(job_key(spec), num_shards) == shard]
 
 
 class ShardedBackend(ExecutionBackend):
@@ -466,7 +465,6 @@ class ShardedBackend(ExecutionBackend):
         shard: int,
         num_shards: int,
         inner: ExecutionBackend | None = None,
-        scheduler: str | None = None,
     ):
         super().__init__()
         _validate_sharding(shard, num_shards)
@@ -475,11 +473,6 @@ class ShardedBackend(ExecutionBackend):
         self.shard = shard
         self.num_shards = num_shards
         self.inner = inner if inner is not None else SerialBackend()
-        self.scheduler = scheduler
-
-    @property
-    def uses_plane(self) -> bool:
-        return self.inner.uses_plane
 
     def close(self) -> None:
         self.inner.close()
@@ -489,28 +482,13 @@ class ShardedBackend(ExecutionBackend):
         specs: Sequence[JobSpec],
         unpicklable: str = "error",
         keys: Sequence[str] | None = None,
-        weights: Mapping[str, float] | None = None,
-        plane_table: dict | None = None,
     ) -> list:
         if keys is None:
             keys = [job_key(spec) for spec in specs]
-        # assignment covers the whole weight table when the executor
-        # passed one (its run's full key set), so a partially cached
-        # grid still splits exactly like the uncached full list and the
-        # shards' executed slices stay complementary
-        assignment = shard_assignment(
-            specs, self.num_shards, keys=keys, weights=weights,
-            scheduler=self.scheduler,
-        )
-        owned = [assignment[key] == self.shard for key in keys]
+        owned = [_shard_of_key(key, self.num_shards) == self.shard for key in keys]
         mine = [spec for spec, ours in zip(specs, owned) if ours]
         mine_keys = [key for key, ours in zip(keys, owned) if ours]
-        results = iter(
-            self.inner.execute(
-                mine, unpicklable, keys=mine_keys, weights=weights,
-                plane_table=plane_table,
-            )
-        )
+        results = iter(self.inner.execute(mine, unpicklable, keys=mine_keys))
         inner_walls = iter(self.inner.last_job_wall_ns)
         self.last_job_wall_ns = [
             next(inner_walls, None) if ours else None for ours in owned
@@ -594,16 +572,6 @@ def merge_shards(
 # ----------------------------------------------------------------------
 # selection
 # ----------------------------------------------------------------------
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SweepError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def _local_backend(workers: int) -> ExecutionBackend:
     return ProcessPoolBackend(workers) if workers > 1 else SerialBackend()
 

@@ -4,7 +4,7 @@
   time resolution (sampling interval) and space resolution (number of
   regions) against CPU overhead, versus NeoProf's corner;
 * **(b)** the TLB-access vs LLC-access dispersion on a Redis trace
-  through the exact cache + TLB models (the paper's KCacheSim study);
+  through the exact cache model (the paper's KCacheSim study);
 * **(c)** PEBS slowdown versus sampling interval.
 
 (a) and (c) measure *profiling* cost in isolation (no migration), with
@@ -22,7 +22,6 @@ from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import workload_pages
 from repro.experiments.sweep import JobSpec, SweepExecutor, resolve_executor
 from repro.memsim.cache import Cache, CacheHierarchy
-from repro.memsim.tlb import TLB
 from repro.profilers.damon import DamonProfiler
 from repro.profilers.pebs import PebsProfiler
 from repro.workloads import make_workload
@@ -159,8 +158,8 @@ def run_fig04b(
     """TLB-level vs LLC-level visibility on a Redis trace (Fig. 4-(b)).
 
     Page accesses are expanded to byte addresses (random in-page
-    offsets) and driven through the exact L1/L2/LLC hierarchy and a TLB;
-    per-page counts of TLB activity and true LLC misses are compared.
+    offsets) and driven through the exact L1/L2/LLC hierarchy; per-page
+    counts of TLB activity and true LLC misses are compared.
     A low correlation demonstrates Challenge #2.
     """
     rng = np.random.default_rng(seed)
@@ -176,7 +175,6 @@ def run_fig04b(
             Cache(2 * 1024 * 1024, 16, name="llc"),
         ]
     )
-    tlb = TLB(entries=256)
     tlb_counts = np.zeros(num_pages, dtype=np.int64)
     llc_counts = np.zeros(num_pages, dtype=np.int64)
     while True:
@@ -190,7 +188,6 @@ def run_fig04b(
             # The figure's y-axis is TLB *accesses*: every touch is
             # visible at the translation level (this is the event
             # population PTE-scan/hint-fault techniques sample from).
-            tlb.access(page)
             tlb_counts[page] += 1
             if hierarchy.access(page * 4096 + int(offset)) is None:
                 llc_counts[page] += 1

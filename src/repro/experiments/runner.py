@@ -136,8 +136,8 @@ def materialize_trace(workload, seed: int, key: tuple | None = None) -> list:
     (``np.random.default_rng(seed)``) feeds nothing but ``next_batch``,
     so draining a fresh workload here is bit-identical to recording it
     from a live run.  Keyable traces are served from — and recorded
-    into — the in-process trace cache; this is the parent-side producer
-    the shared-memory trace plane publishes from.
+    into — the in-process trace cache; the process-pool backend calls
+    this in the parent so forked workers inherit the traces.
     """
     if key is None:
         key = _workload_trace_key(workload, seed)
@@ -153,18 +153,6 @@ def materialize_trace(workload, seed: int, key: tuple | None = None) -> list:
             break
         trace.append((batch[0].copy(), batch[1].copy()))
     if key is not None:
-        _cache_trace(key, trace)
-    return trace
-
-
-def _plane_trace(key: tuple) -> list | None:
-    """A worker-side trace-cache miss falls through to the shared-memory
-    trace plane; an attached trace backs the cache for the rest of the
-    worker's life (views stay valid after the parent unlinks)."""
-    from repro.experiments import traceplane  # deferred: plane is optional
-
-    trace = traceplane.worker_trace(key)
-    if trace is not None:
         _cache_trace(key, trace)
     return trace
 
@@ -200,8 +188,6 @@ def _attach_trace_and_memo(workload, engine):
     cache = engine.cache
     dkey = (key, cache.capacity_pages, cache.max_page_id, cache.lines_per_page)
     trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        trace = _plane_trace(key)
     if trace is not None:
         entries = _DERIVED_CACHE.get(dkey)
         if entries is not None:

@@ -1,366 +1,24 @@
-"""Shared-memory trace plane: publish workload traces once, attach everywhere.
+"""Process-pool worker start-up: pre-import the hot modules, once.
 
-A sweep grid runs the same workload trace under many (policy, ratio,
-system) points, and a workload trace is a pure function of ``(workload
-class, geometry, seed)`` — the identity :func:`~repro.experiments.runner.
-_workload_trace_key` already computes for the in-process trace cache.
-Before this module, every process-pool worker regenerated every trace
-from scratch: the dominant cold-start cost that kept the 4-worker pool
-*slower* than serial on small grids.
+Every :class:`~repro.experiments.backends.ProcessPoolBackend` worker runs
+:func:`pool_initializer` as it starts.  The wall clock it takes ships
+back with the worker's first chunk result as ``worker_warmup`` ns
+(:func:`consume_worker_ns`) and lands in ``SweepStats.dispatch_ns``.
 
-The trace plane removes that cost structurally:
-
-* the **parent** process materializes each distinct trace once — served
-  from the in-process trace cache when a serial pass already recorded
-  it, generated otherwise — and packs it into one
-  ``multiprocessing.shared_memory`` segment
-  (:meth:`TracePlane.publish`);
-* **workers** receive a small ``{digest: descriptor}`` table with each
-  job chunk and attach zero-copy (:func:`worker_trace`): the per-epoch
-  ``(pages, is_write)`` batches come back as read-only numpy views over
-  the mapped segment, never pickled, never regenerated;
-* the :class:`TracePlane` registry **owns segment lifetimes**: the
-  parent creates and unlinks (context-manager or ``release()``), workers
-  only ever attach — and because pool workers share the parent's
-  resource-tracker process, a worker's exit can never tear down a
-  segment the parent still owns.  Robust on both ``fork`` and ``spawn``
-  start methods — nothing crosses the boundary except the descriptor
-  table.
-
-Segments are created and attached *only* through this registry — the
-``SHM001`` analysis rule enforces that repo-wide.  Layout of one
-segment: an ``int64`` header ``[n_epochs, pages_nbytes]``, an ``int64``
-offsets array of length ``n_epochs + 1`` (element offsets shared by the
-pages and is-write planes), the concatenated ``int64`` pages, then the
-concatenated ``bool`` write flags.
-
-The plane is best-effort by design: any failure to publish or attach
-(no ``/dev/shm``, a released segment, an unkeyable workload) falls back
-to per-worker regeneration, which is bit-identical — the plane is a
-wall-clock optimization, never a correctness dependency.  Disable it
-outright with ``REPRO_SWEEP_TRACE_PLANE=off``.
+The backend looks the initializer up through this module's attribute
+when it starts a pool, so a profiler can rebind
+``traceplane.pool_initializer`` to wrap it (``perfbench/tracer.py``
+does).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-from dataclasses import dataclass
-from multiprocessing import shared_memory
-
-import numpy as np
-
 from repro.telemetry import MODE_METRICS, Telemetry
 
-__all__ = [
-    "PLANE_ENV",
-    "SegmentDescriptor",
-    "TracePlane",
-    "consume_worker_ns",
-    "install_table",
-    "plane_enabled",
-    "pool_initializer",
-    "publish_for",
-    "trace_digest",
-    "worker_trace",
-]
-
-#: set to ``off``/``0``/``false`` to disable the shared-memory plane
-PLANE_ENV = "REPRO_SWEEP_TRACE_PLANE"
-
-#: segment-name prefix; short so names stay within portable limits
-_NAME_PREFIX = "rpt"
-
-_HEADER_DTYPE = np.dtype(np.int64)
-_PAGES_DTYPE = np.dtype(np.int64)
-_WRITE_DTYPE = np.dtype(np.bool_)
-
-
-def plane_enabled() -> bool:
-    """True unless ``REPRO_SWEEP_TRACE_PLANE`` turns the plane off."""
-    raw = os.environ.get(PLANE_ENV, "").strip().lower()
-    return raw not in ("off", "0", "false", "no")
-
-
-def trace_digest(key: tuple) -> str:
-    """Stable cross-process digest of a trace-cache key.
-
-    The key is a tuple of primitives and ``tobytes()`` payloads
-    (:func:`~repro.experiments.runner._workload_trace_key`); pickling it
-    at a fixed protocol is canonical for those types, so parent and
-    workers — same interpreter, either start method — agree on the
-    digest without sharing any state.
-    """
-    blob = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-# ----------------------------------------------------------------------
-# packing
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SegmentDescriptor:
-    """Everything a worker needs to attach one published trace."""
-
-    name: str
-    size: int
-    n_epochs: int
-
-    def header_bytes(self) -> int:
-        return (2 + self.n_epochs + 1) * _HEADER_DTYPE.itemsize
-
-
-def _pack_into(buf: memoryview, trace: list) -> None:
-    """Write a recorded trace into a segment buffer (see module docs)."""
-    n = len(trace)
-    lengths = np.fromiter(
-        (pages.size for pages, _ in trace), dtype=np.int64, count=n
-    )
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    header = np.frombuffer(buf, dtype=_HEADER_DTYPE, count=2 + n + 1)
-    header[0] = n
-    header[1] = total * _PAGES_DTYPE.itemsize
-    header[2:] = offsets
-    start = (2 + n + 1) * _HEADER_DTYPE.itemsize
-    pages_all = np.frombuffer(buf, dtype=_PAGES_DTYPE, count=total, offset=start)
-    writes_all = np.frombuffer(
-        buf, dtype=_WRITE_DTYPE, count=total, offset=start + total * _PAGES_DTYPE.itemsize
-    )
-    for i, (pages, is_write) in enumerate(trace):
-        pages_all[offsets[i] : offsets[i + 1]] = pages
-        writes_all[offsets[i] : offsets[i + 1]] = is_write
-
-
-def _packed_size(trace: list) -> int:
-    total = sum(pages.size for pages, _ in trace)
-    header = (2 + len(trace) + 1) * _HEADER_DTYPE.itemsize
-    return header + total * (_PAGES_DTYPE.itemsize + _WRITE_DTYPE.itemsize)
-
-
-def _unpack_views(buf: memoryview) -> list:
-    """Per-epoch ``(pages, is_write)`` read-only views over a segment."""
-    head = np.frombuffer(buf, dtype=_HEADER_DTYPE, count=2)
-    n, pages_nbytes = int(head[0]), int(head[1])
-    offsets = np.frombuffer(
-        buf, dtype=_HEADER_DTYPE, count=n + 1, offset=2 * _HEADER_DTYPE.itemsize
-    )
-    start = (2 + n + 1) * _HEADER_DTYPE.itemsize
-    total = pages_nbytes // _PAGES_DTYPE.itemsize
-    pages_all = np.frombuffer(buf, dtype=_PAGES_DTYPE, count=total, offset=start)
-    writes_all = np.frombuffer(
-        buf, dtype=_WRITE_DTYPE, count=total, offset=start + pages_nbytes
-    )
-    pages_all.flags.writeable = False
-    writes_all.flags.writeable = False
-    return [
-        (pages_all[offsets[i] : offsets[i + 1]], writes_all[offsets[i] : offsets[i + 1]])
-        for i in range(n)
-    ]
-
-
-# ----------------------------------------------------------------------
-# the parent-side registry
-# ----------------------------------------------------------------------
-class TracePlane:
-    """Create/own shared-memory trace segments; unlink them exactly once.
-
-    The registry is the only object allowed to construct
-    :class:`~multiprocessing.shared_memory.SharedMemory` — everything
-    else goes through :meth:`publish` / :func:`worker_trace`, so segment
-    lifetime has a single owner and ``/dev/shm`` can never accumulate
-    orphans from normal completion, worker crashes, or executor
-    exceptions (``release()`` runs in the executor's ``finally``).
-    """
-
-    def __init__(self) -> None:
-        self._segments: dict[str, tuple[shared_memory.SharedMemory, SegmentDescriptor]] = {}
-        self._counter = 0
-        self._released = False
-
-    # ------------------------------------------------------------------
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._segments
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def __enter__(self) -> "TracePlane":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.release()
-        return False
-
-    # ------------------------------------------------------------------
-    def publish(self, digest: str, trace: list) -> SegmentDescriptor:
-        """Materialize one recorded trace as a shared-memory segment.
-
-        The name embeds the creating pid and a counter, not the digest
-        alone, so two concurrent sweeps publishing the same trace can
-        never collide on a segment name.
-        """
-        if self._released:
-            raise RuntimeError("TracePlane already released")
-        if digest in self._segments:
-            return self._segments[digest][1]
-        name = f"{_NAME_PREFIX}{os.getpid():x}_{self._counter}_{digest[:8]}"
-        self._counter += 1
-        size = _packed_size(trace)
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        try:
-            _pack_into(shm.buf, trace)
-        except Exception:
-            shm.close()
-            shm.unlink()
-            raise
-        descriptor = SegmentDescriptor(name=name, size=size, n_epochs=len(trace))
-        self._segments[digest] = (shm, descriptor)
-        return descriptor
-
-    def table(self) -> dict[str, SegmentDescriptor]:
-        """The picklable ``{digest: descriptor}`` map shipped to workers."""
-        return {digest: desc for digest, (_, desc) in self._segments.items()}
-
-    def release(self) -> None:
-        """Close and unlink every owned segment (idempotent).
-
-        Workers that attached keep their mappings — ``unlink`` only
-        removes the name — so in-flight jobs finish untouched while
-        ``/dev/shm`` is already clean.
-        """
-        if self._released:
-            return
-        self._released = True
-        segments, self._segments = self._segments, {}
-        for shm, _desc in segments.values():
-            try:
-                shm.close()
-            except Exception:
-                pass
-            try:
-                shm.unlink()  # also unregisters from the resource tracker
-            except Exception:
-                pass
-
-
-def publish_for(specs) -> TracePlane:
-    """A plane holding every distinct trace the given JobSpecs replay.
-
-    Only standard-runner jobs participate (custom runners own their own
-    workload construction); unkeyable workloads and publish failures are
-    skipped — those jobs simply regenerate in the worker as before.
-    Traces already recorded by an earlier in-process run (the bench's
-    serial pass, a prior ``run()``) are served from the trace cache;
-    missing ones are generated here, once, and recorded for the parent
-    too.
-    """
-    # deferred: runner is the plane's only intra-repo dependency and
-    # importing it at module load would cycle through sweep/backends
-    from repro.experiments import runner as _runner
-    from repro.experiments.sweep import DEFAULT_RUNNER
-
-    plane = TracePlane()
-    seen_sigs: set[str] = set()
-    for spec in specs:
-        if spec.runner != DEFAULT_RUNNER:
-            continue
-        sig = trace_digest(
-            (
-                spec.workload,
-                tuple(sorted((str(k), repr(v)) for k, v in spec.workload_overrides.items())),
-                tuple(sorted((str(k), repr(v)) for k, v in spec.engine_overrides.items())),
-                repr(spec.resolved_config()),
-            )
-        )
-        if sig in seen_sigs:
-            continue
-        seen_sigs.add(sig)
-        try:
-            config = spec.resolved_config()
-            workload = _runner.build_workload(
-                spec.workload, config, **spec.workload_overrides
-            )
-            seed = config.engine_config(**spec.engine_overrides).seed
-            key = _runner._workload_trace_key(workload, seed)
-            if key is None:
-                continue
-            digest = trace_digest(key)
-            if digest in plane:
-                continue
-            trace = _runner.materialize_trace(workload, seed, key)
-            plane.publish(digest, trace)
-        except Exception:
-            continue  # best-effort: the worker regenerates bit-identically
-    return plane
-
-
-# ----------------------------------------------------------------------
-# the worker side
-# ----------------------------------------------------------------------
-#: digest -> descriptor, installed per chunk; survives across jobs so a
-#: warm worker skips even the table shipping on repeat traces
-_TABLE: dict[str, SegmentDescriptor] = {}
-
-#: attached segments kept alive for the worker's lifetime (the warm
-#: per-worker cache: views into these back the runner's trace cache)
-_ATTACHED: dict[str, shared_memory.SharedMemory] = {}
+__all__ = ["consume_worker_ns", "pool_initializer"]
 
 #: dispatch-overhead ns accumulated in this process, consumed per chunk
-_WORKER_NS = {"worker_warmup": 0, "shm_attach": 0}
-
-
-def install_table(table: dict[str, SegmentDescriptor]) -> None:
-    """Merge a plane table shipped with a job chunk (worker side)."""
-    _TABLE.update(table)
-
-
-def worker_trace(key: tuple) -> list | None:
-    """Attach the published trace for a trace-cache key, or ``None``.
-
-    Returns the per-epoch ``(pages, is_write)`` list as read-only views
-    over the mapped segment.  A descriptor whose segment is gone (the
-    parent released the plane, or the table is stale) is dropped and the
-    caller regenerates — attach is never allowed to fail a job.
-    """
-    if not _TABLE:
-        return None
-    digest = trace_digest(key)
-    descriptor = _TABLE.get(digest)
-    if descriptor is None:
-        return None
-    tel = Telemetry(MODE_METRICS)
-    try:
-        with tel.span("shm_attach"):
-            shm = _ATTACHED.get(descriptor.name)
-            if shm is None:
-                # attach re-registers the name with the resource tracker
-                # (CPython < 3.13), but pool workers share the parent's
-                # tracker process and its cache is a set, so the extra
-                # registration is a no-op the parent's unlink() clears
-                shm = shared_memory.SharedMemory(name=descriptor.name)
-                _ATTACHED[descriptor.name] = shm
-            trace = _unpack_views(shm.buf)
-    except Exception:
-        _TABLE.pop(digest, None)
-        return None
-    _WORKER_NS["shm_attach"] += tel.phase_totals().get("shm_attach", 0)
-    if len(trace) != descriptor.n_epochs:
-        return None
-    return trace
-
-
-def close_attached() -> None:
-    """Drop every worker-side attachment (tests and pool teardown)."""
-    for shm in _ATTACHED.values():
-        try:
-            shm.close()
-        except Exception:
-            pass
-    _ATTACHED.clear()
-    _TABLE.clear()
+_WORKER_NS = {"worker_warmup": 0}
 
 
 def consume_worker_ns() -> dict[str, int]:
@@ -389,11 +47,10 @@ _WARM_MODULES = (
 def pool_initializer() -> None:
     """Process-pool initializer: pre-import the hot modules, once.
 
-    Runs in each worker as it starts; the measured wall clock ships
-    back with the worker's first chunk result as ``worker_warmup`` ns.
     After this, consecutive jobs on the same worker reuse everything
     process-level: imported modules, the H3 XOR-table cache, the trace
-    cache (shm-attached or recorded), and the derived-account memo.
+    cache (inherited from the parent under fork, or recorded by the
+    worker's own runs), and the derived-account memo.
     """
     import importlib
 

@@ -1,7 +1,7 @@
 """Tiered-memory system simulator substrate.
 
 This subpackage models the machine the NeoMem paper prototypes on an FPGA
-platform: a host CPU with a cache hierarchy and TLB, a fast CPU-attached
+platform: a host CPU with a cache hierarchy, a fast CPU-attached
 DDR tier, and one or more slow CXL-attached tiers, all exposed to a
 software layer through page tables, NUMA nodes, and a page-migration
 engine.  The :class:`~repro.memsim.engine.SimulationEngine` advances the
@@ -30,7 +30,6 @@ from repro.memsim.tiers import (
 )
 from repro.memsim.cache import Cache, CacheHierarchy, CacheStats
 from repro.memsim.cachefilter import PageCacheFilter
-from repro.memsim.tlb import TLB
 from repro.memsim.page_table import PageTable, PageFlags
 from repro.memsim.numa import NumaNode, NumaTopology
 from repro.memsim.lru2q import Lru2Q
@@ -58,7 +57,6 @@ __all__ = [
     "CacheHierarchy",
     "CacheStats",
     "PageCacheFilter",
-    "TLB",
     "PageTable",
     "PageFlags",
     "NumaNode",

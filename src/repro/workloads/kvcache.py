@@ -200,7 +200,7 @@ class KVCacheWorkload(TraceWorkload):
     ) -> None:
         super().__init__(num_pages, total_batches, batch_size, write_fraction)
         # validate eagerly; stored as scalars so the trace key (and with
-        # it the shm trace plane) can capture the workload's identity
+        # it the trace cache) can capture the workload's identity
         KVGeometry.derive(
             num_pages, num_layers, num_seqs, prompt_fraction, recent_window, skip_level
         )

@@ -1,16 +1,20 @@
-"""Tests for pluggable execution backends: sharding, merging, replicas.
+"""Tests for pluggable execution backends: pool, sharding, merging, replicas.
 
-The acceptance bar pinned here is the CI fan-in invariant: a figure
-sweep split over 2 shards, after ``merge_shards()``, is bit-identical
-to the serial backend's results.
+The acceptance bars pinned here are bit-identity with the serial
+backend — for a process pool (fork and spawn, fresh and warm) and for a
+figure sweep split over 2 shards after ``merge_shards()`` — and a pool
+that survives job exceptions and worker crashes.
 """
 
+import dataclasses
 import pickle
 import random
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.experiments import fig12
+from repro.experiments import fig12, traceplane
+from repro.experiments import runner as runner_mod
 from repro.experiments.backends import (
     NUM_SHARDS_ENV,
     SHARD_ENV,
@@ -27,15 +31,10 @@ from repro.experiments.backends import (
     resolve_backend,
     shard_of,
 )
-from repro.experiments.backends import shard_assignment
+from repro.experiments.backends import _heaviest_first, _job_cost
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scheduling import (
-    SCHEDULER_ENV,
-    job_weights,
-    lpt_assignment,
-    runtime_history,
-)
 from repro.experiments.sweep import (
+    WORKERS_ENV,
     JobSpec,
     SweepError,
     SweepExecutor,
@@ -59,9 +58,17 @@ CHEAP = [
 ]
 
 
-def grid_jobs():
+def grid_jobs(config=TINY):
     """A small real figure grid (2 workloads x 1 ratio x 2 systems)."""
-    return fig12.fig12_jobs(TINY, workloads=("gups", "silo"), ratios=((1, 2),))
+    return fig12.fig12_jobs(config, workloads=("gups", "silo"), ratios=((1, 2),))
+
+
+def pickled(results) -> list[bytes]:
+    return [pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL) for r in results]
+
+
+def crash_job(runner: str) -> JobSpec:
+    return JobSpec("gups", "none", TINY, seed=999, runner=f"repro.experiments._testhooks:{runner}")
 
 
 class TestPartitioning:
@@ -101,102 +108,38 @@ class TestPartitioning:
             ShardedBackend(0, 2, inner=ShardedBackend(0, 2))
 
     def test_tag_does_not_move_a_job(self):
-        import dataclasses
-
         spec = CHEAP[0]
         tagged = dataclasses.replace(spec, tag="elsewhere")
         assert shard_of(spec, 5) == shard_of(tagged, 5)
 
 
 class TestCostScheduling:
-    """ISSUE acceptance: cost-weighted partitioning is deterministic
-    given the same manifest history — reorder-stable, disjoint,
-    exhaustive — and the hash scheduler remains selectable."""
+    """Pool submission is heaviest-first by a pages x batches estimate
+    taken from the spec alone; shard ownership stays the content hash."""
 
-    def _history_dir(self, tmp_path, jobs, walls):
-        from repro.telemetry import append_manifest, manifest_record
+    JOBS = fig12.fig12_jobs(TINY, workloads=("gups", "pagerank", "silo"), ratios=((1, 2),))
 
-        d = tmp_path / "hist"
-        d.mkdir()
-        for spec, wall_s in zip(jobs, walls):
-            append_manifest(
-                d,
-                manifest_record(
-                    job_key(spec), spec.label(), spec.seed, None, wall_s=wall_s
-                ),
-            )
-        return d
+    def _order(self, specs) -> list[str]:
+        keys = [job_key(spec) for spec in specs]
+        return [keys[i] for i in _heaviest_first(specs, keys)]
 
-    def test_cost_partition_disjoint_exhaustive_reorder_stable(self):
-        jobs = grid_jobs()
-        keys = [job_key(spec) for spec in jobs]
-        assignment = shard_assignment(jobs, 2, keys=keys, scheduler="cost")
-        assert set(assignment) == set(keys)
-        assert set(assignment.values()) <= {0, 1}
-        shuffled = list(zip(jobs, keys))
+    def test_heaviest_first_is_reorder_stable(self):
+        order = self._order(self.JOBS)
+        shuffled = list(self.JOBS)
         random.Random(11).shuffle(shuffled)
-        reordered = shard_assignment(
-            [s for s, _ in shuffled], 2,
-            keys=[k for _, k in shuffled], scheduler="cost",
-        )
-        assert reordered == assignment
-
-    def test_cost_partition_deterministic_given_manifest_history(self, tmp_path):
-        jobs = grid_jobs()
-        walls = [0.1 * (i + 1) for i in range(len(jobs))]
-        d = self._history_dir(tmp_path, jobs, walls)
-        history = runtime_history(d)
-        keys = [job_key(spec) for spec in jobs]
-        weights = job_weights(jobs, keys, history)
-        # measured path engaged: every label has history
-        assert set(weights.values()) == set(walls)
-        first = lpt_assignment(weights, 3)
-        again = lpt_assignment(dict(reversed(list(weights.items()))), 3)
-        assert first == again
-        assert set(first.values()) == {0, 1, 2}
-
-    def test_partial_history_falls_back_to_heuristic_for_all(self, tmp_path):
-        """Measured seconds and heuristic page counts are incomparable,
-        so a history covering only some labels must not mix scales."""
-        jobs = grid_jobs()
-        d = self._history_dir(tmp_path, jobs[:1], [0.5])
-        keys = [job_key(spec) for spec in jobs]
-        weights = job_weights(jobs, keys, runtime_history(d))
-        assert weights == job_weights(jobs, keys, {})
-
-    def test_lpt_balances_by_weight(self):
-        weights = {"a": 3.0, "b": 2.0, "c": 2.0, "d": 1.0}
-        assignment = lpt_assignment(weights, 2)
-        loads = [0.0, 0.0]
-        for key, shard in assignment.items():
-            loads[shard] += weights[key]
-        assert loads[0] == loads[1] == 4.0
-
-    def test_hash_scheduler_matches_shard_of(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "hash")
-        for num_shards in (2, 3):
-            expected = {spec.seed: shard_of(spec, num_shards) for spec in CHEAP}
-            shards = [partition(CHEAP, s, num_shards) for s in range(num_shards)]
-            for s, shard in enumerate(shards):
-                for spec in shard:
-                    assert expected[spec.seed] == s
-
-    def test_unknown_scheduler_rejected(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "psychic")
-        with pytest.raises(SweepError, match="unknown scheduler"):
-            partition(CHEAP, 0, 2)
+        assert self._order(shuffled) == order
+        by_key = {job_key(spec): spec for spec in self.JOBS}
+        costs = [_job_cost(by_key[key]) for key in order]
+        assert costs == sorted(costs, reverse=True)
+        assert costs[0] > costs[-1]  # the grid mixes job sizes
 
     def test_tag_does_not_move_a_job_under_cost(self):
-        import dataclasses
-
-        tagged = [dataclasses.replace(spec, tag="routed") for spec in CHEAP]
-        plain = partition(CHEAP, 0, 3, scheduler="cost")
-        routed = partition(tagged, 0, 3, scheduler="cost")
-        assert [spec.seed for spec in plain] == [spec.seed for spec in routed]
+        tagged = [dataclasses.replace(spec, tag="routed") for spec in self.JOBS]
+        assert self._order(tagged) == self._order(self.JOBS)
 
     def test_sharded_backend_agrees_with_partition(self):
-        """The backend and the module-level partition() resolve the same
-        default scheduler, so tests (and hosts) can predict ownership."""
+        """The backend and the module-level partition() split by the same
+        content hash, so tests (and hosts) can predict ownership."""
         executor = SweepExecutor(backend=ShardedBackend(1, 3))
         results = executor.run(CHEAP, allow_partial=True)
         mine = {spec.seed for spec in partition(CHEAP, 1, 3)}
@@ -206,6 +149,72 @@ class TestCostScheduling:
             if not is_shard_skipped(result)
         }
         assert executed == mine
+
+
+class TestPoolLifecycle:
+    def test_pool_matches_serial_bit_for_bit(self):
+        jobs = grid_jobs()
+        serial = SweepExecutor(workers=1, cache_dir="").run(jobs)
+        with SweepExecutor(workers=2, cache_dir="") as pool:
+            parallel = pool.run(jobs)
+        assert pickled(parallel) == pickled(serial)
+
+    def test_fresh_pool_builds_traces_in_the_parent(self, monkeypatch):
+        """The parent fills its trace cache before the pool forks, so the
+        workers inherit every distinct trace of the batch."""
+        monkeypatch.setattr(runner_mod, "_TRACE_CACHE", {})
+        jobs = grid_jobs()
+        with SweepExecutor(workers=2, cache_dir="") as pool:
+            parallel = pool.run(jobs)
+            assert pool.stats.dispatch_ns["trace_build"] > 0
+            assert pool.stats.dispatch_ns["worker_warmup"] > 0
+        assert len(runner_mod._TRACE_CACHE) == 2  # gups and silo
+        serial = SweepExecutor(workers=1, cache_dir="").run(jobs)
+        assert pickled(parallel) == pickled(serial)
+
+    def test_warm_pool_skips_the_parent_build(self):
+        """Warm workers forked before the new batch's traces existed, so
+        the parent builds nothing; they regenerate, bit-identically."""
+        fresh = grid_jobs(dataclasses.replace(TINY, seed=TINY.seed + 11))
+        with SweepExecutor(workers=2, cache_dir="") as pool:
+            pool.run(grid_jobs())
+            built = pool.stats.dispatch_ns["trace_build"]
+            warm = pool.run(fresh)
+            assert "trace_build" not in pool.backend.last_dispatch_ns
+            assert pool.stats.dispatch_ns["trace_build"] == built
+        serial = SweepExecutor(workers=1, cache_dir="").run(fresh)
+        assert pickled(warm) == pickled(serial)
+
+    def test_job_exception_propagates_and_executor_recovers(self):
+        with SweepExecutor(workers=2, cache_dir="") as pool:
+            with pytest.raises(RuntimeError, match="raising_runner"):
+                pool.run(grid_jobs() + [crash_job("raising_runner")])
+            assert len(pool.run(grid_jobs()[:2])) == 2
+
+    def test_worker_crash_disposes_and_rebuilds_the_pool(self):
+        with SweepExecutor(workers=2, cache_dir="") as pool:
+            with pytest.raises(BrokenProcessPool):
+                pool.run(grid_jobs() + [crash_job("exit_runner")])
+            assert pool.backend._pool is None
+            assert len(pool.run(grid_jobs()[:2])) == 2
+            assert pool.backend._pool is not None
+
+    def test_spawn_pool_matches_serial(self):
+        """Spawn workers inherit nothing, so the parent skips the trace
+        build and the workers regenerate every trace."""
+        jobs = grid_jobs()[:2]
+        serial = SweepExecutor(workers=1, cache_dir="").run(jobs)
+        backend = ProcessPoolBackend(workers=2, start_method="spawn")
+        with SweepExecutor(workers=2, cache_dir="", backend=backend) as pool:
+            parallel = pool.run(jobs)
+            assert pool.stats.dispatch_ns["trace_build"] == 0
+        assert pickled(parallel) == pickled(serial)
+
+    def test_consume_worker_ns_resets(self):
+        traceplane.consume_worker_ns()
+        traceplane._WORKER_NS["worker_warmup"] += 123
+        assert traceplane.consume_worker_ns()["worker_warmup"] == 123
+        assert traceplane.consume_worker_ns()["worker_warmup"] == 0
 
 
 class TestShardedBackend:
@@ -264,6 +273,16 @@ class TestEnvResolution:
     def test_backend_env_forces_name(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
         assert isinstance(SweepExecutor(workers=4).backend, SerialBackend)
+
+    def test_workers_env_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        with pytest.raises(SweepError, match=WORKERS_ENV):
+            SweepExecutor()
+        monkeypatch.setenv(WORKERS_ENV, "0")
+        with pytest.raises(SweepError, match="workers must be >= 1"):
+            SweepExecutor()
+        monkeypatch.setenv(WORKERS_ENV, " 3 ")
+        assert SweepExecutor().workers == 3
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SweepError, match="unknown backend"):

@@ -3,7 +3,6 @@
 import pickle
 
 import numpy as np
-import pytest
 
 from repro.experiments import kvcache
 from repro.experiments.backends import ProcessPoolBackend
@@ -133,18 +132,3 @@ class TestRows:
         table = kvcache.format_kvcache(rows)
         assert "first-touch" in table and "lookahead" in table
         assert table.count("\n") >= len(rows)
-
-
-@pytest.fixture(autouse=True)
-def _no_shm_leaks():
-    import os
-
-    def rpt_segments():
-        try:
-            return {n for n in os.listdir("/dev/shm") if n.startswith("rpt")}
-        except FileNotFoundError:
-            return set()
-
-    before = rpt_segments()
-    yield
-    assert rpt_segments() - before == set()

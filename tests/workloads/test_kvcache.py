@@ -2,24 +2,18 @@
 
 The determinism bars pinned here are the ISSUE's: the same (workload,
 seed, geometry) must produce bit-identical pages whether the trace is
-generated live, replayed through ``materialize_trace``'s in-process
-cache, or attached from the shared-memory trace plane.
+generated live or replayed through ``materialize_trace``'s in-process
+cache.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments import runner as runner_mod
-from repro.experiments import traceplane
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.kvcache import kvcache_jobs
-from repro.experiments.traceplane import publish_for
 from repro.workloads import make_workload
 from repro.workloads.kvcache import KVCacheWorkload, KVGeometry
 
 SMALL = dict(num_pages=4096, total_batches=6, batch_size=4096)
-
-TINY_CONFIG = ExperimentConfig(num_pages=2048, batches=4, batch_size=2048)
 
 
 def geometry(**overrides) -> KVGeometry:
@@ -146,7 +140,7 @@ class TestWorkload:
 
     def test_workload_is_trace_cacheable(self):
         # scalar-only instance state: the trace key (and with it the
-        # in-process cache and the shm trace plane) must capture it
+        # in-process trace cache) must capture it
         key = runner_mod._workload_trace_key(KVCacheWorkload(**SMALL), seed=7)
         assert key is not None
         other = runner_mod._workload_trace_key(
@@ -178,31 +172,3 @@ class TestWorkload:
         assert n == wl.total_batches
         wl.reset()
         assert wl.next_batch(rng) is not None
-
-
-class TestShmPlane:
-    @pytest.fixture(autouse=True)
-    def _detach_after(self):
-        # close after the test returns, once the locals holding views
-        # into the segments are gone (the traceplane suite's pattern)
-        yield
-        traceplane.close_attached()
-
-    def test_plane_trace_is_bit_identical_to_materialized(self):
-        jobs = kvcache_jobs(
-            TINY_CONFIG, contexts=(0.25,), strategies=("first-touch", "lookahead")
-        )
-        with publish_for(jobs) as plane:
-            assert len(plane) == 1  # one context -> one distinct trace
-            traceplane.install_table(plane.table())
-            spec = jobs[0]
-            config = spec.resolved_config()
-            workload = runner_mod.build_workload(
-                spec.workload, config, **spec.workload_overrides
-            )
-            key = runner_mod._workload_trace_key(workload, config.seed)
-            attached = traceplane.worker_trace(key)
-            assert attached is not None
-            runner_mod._TRACE_CACHE.clear()
-            regenerated = runner_mod.materialize_trace(workload, config.seed)
-            assert _traces_equal(attached, regenerated)

@@ -47,7 +47,6 @@ def run_filter_ablation(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> FilterAblationResult:
     """Hot-bit filter on vs off, on a GUPS slow-tier stream."""
     job = JobSpec(
@@ -57,7 +56,7 @@ def run_filter_ablation(
         runner="repro.experiments.ablation:_run_filter_job",
         runner_kwargs={"epochs": epochs},
     )
-    return resolve_executor(executor, workers, backend=backend).run([job])[0]
+    return resolve_executor(executor, workers).run([job])[0]
 
 
 def _filter_ablation(config: ExperimentConfig, epochs: int) -> FilterAblationResult:
@@ -110,7 +109,6 @@ def run_bound_ablation(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> BoundAblationResult:
     """Undersized sketch: what does the error clamp protect against?"""
     job = JobSpec(
@@ -120,7 +118,7 @@ def run_bound_ablation(
         runner="repro.experiments.ablation:_run_bound_job",
         runner_kwargs={"sketch_width": sketch_width, "epochs": epochs},
     )
-    return resolve_executor(executor, workers, backend=backend).run([job])[0]
+    return resolve_executor(executor, workers).run([job])[0]
 
 
 def _bound_ablation(

@@ -27,9 +27,8 @@ touching the executor's dedup/cache logic:
 
 Backend selection is env-driven so existing harnesses pick it up
 without code changes: ``REPRO_SWEEP_SHARD``/``REPRO_SWEEP_NUM_SHARDS``
-select sharded execution, ``REPRO_SWEEP_BACKEND`` forces a named
-backend, and ``REPRO_SWEEP_WORKERS`` keeps choosing serial vs pool for
-the local (or per-shard inner) execution path.
+select sharded execution, and ``REPRO_SWEEP_WORKERS`` chooses serial vs
+pool for the local (or per-shard inner) execution path.
 """
 
 from __future__ import annotations
@@ -68,16 +67,12 @@ __all__ = [
     "shard_of",
     "partition",
     "merge_shards",
-    "make_backend",
     "resolve_backend",
     "is_sharded_env",
-    "BACKEND_ENV",
     "SHARD_ENV",
     "NUM_SHARDS_ENV",
 ]
 
-#: force a named backend ("serial", "process-pool", "sharded")
-BACKEND_ENV = "REPRO_SWEEP_BACKEND"
 #: this host's shard index, 0-based
 SHARD_ENV = "REPRO_SWEEP_SHARD"
 #: total number of shards splitting the job list
@@ -103,7 +98,8 @@ class ExecutionBackend(ABC):
     After ``execute`` returns, ``last_job_wall_ns`` holds one measured
     per-job wall clock per spec (``None`` for skipped jobs) and
     ``last_dispatch_ns`` the backend's own dispatch-overhead breakdown
-    — the executor feeds both into run manifests and bench records.
+    — the executor feeds both into run manifests and
+    :class:`~repro.experiments.sweep.SweepStats`.
     """
 
     name: str = "?"
@@ -589,39 +585,17 @@ def _sharded_from_env(workers: int) -> ShardedBackend:
     return ShardedBackend(shard, num_shards, inner=_local_backend(workers))
 
 
-def make_backend(name: str, workers: int = 1) -> ExecutionBackend:
-    """Construct a backend by registry name.
-
-    ``"sharded"`` reads its shard coordinates from the environment —
-    they are per-host facts, exactly what the environment is for.
-    """
-    if name == SerialBackend.name:
-        return SerialBackend()
-    if name == ProcessPoolBackend.name:
-        return ProcessPoolBackend(workers)
-    if name == ShardedBackend.name:
-        return _sharded_from_env(workers)
-    known = ", ".join((SerialBackend.name, ProcessPoolBackend.name, ShardedBackend.name))
-    raise SweepError(f"unknown backend {name!r} (known: {known})")
-
-
 def resolve_backend(
-    backend: ExecutionBackend | str | None = None,
+    backend: ExecutionBackend | None = None,
     workers: int = 1,
 ) -> ExecutionBackend:
     """The backend an executor should use.
 
-    Precedence: an explicit backend instance, then an explicit name,
-    then ``REPRO_SWEEP_BACKEND``, then sharding coordinates in the
-    environment, then serial-or-pool from ``workers``.
+    Precedence: an explicit backend instance, then sharding coordinates
+    in the environment, then serial-or-pool from ``workers``.
     """
-    if isinstance(backend, ExecutionBackend):
+    if backend is not None:
         return backend
-    if isinstance(backend, str) and backend:
-        return make_backend(backend, workers)
-    env_name = os.environ.get(BACKEND_ENV, "").strip()
-    if env_name:
-        return make_backend(env_name, workers)
     if is_sharded_env():
         return _sharded_from_env(workers)
     return _local_backend(workers)

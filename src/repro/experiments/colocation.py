@@ -226,7 +226,6 @@ def run_colocation(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> ColocationReport:
     """One co-located run, plus per-tenant solo baselines for slowdown.
 
@@ -243,7 +242,7 @@ def run_colocation(
             solo_baseline_job(spec, policy_name, config, topology_pages)
             for spec in specs
         ]
-    results = resolve_executor(executor, workers, backend=backend).run(jobs)
+    results = resolve_executor(executor, workers).run(jobs)
     report = results[0]
     if solo_baselines:
         _stitch_solo_times(report, specs, results[1:])
@@ -338,7 +337,6 @@ def run_colocation_sweep(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> list[dict]:
     """Sweep tenant count x scheduler; one summary row per run.
 
@@ -357,7 +355,7 @@ def run_colocation_sweep(
     solo_jobs, solo_ids = colocation_sweep_solo_jobs(
         tenant_counts, policy_name, config, mix
     )
-    results = resolve_executor(executor, workers, backend=backend).run(
+    results = resolve_executor(executor, workers).run(
         coloc_jobs + solo_jobs
     )
     reports = results[: len(coloc_jobs)]

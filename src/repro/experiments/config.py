@@ -78,6 +78,14 @@ class ExperimentConfig:
     #: :class:`repro.memsim.migration.MigrationConfig`
     tier_mode: str = "exclusive"
 
+    def __post_init__(self) -> None:
+        if min(self.ratio) <= 0:
+            raise ValueError(f"ratio terms must be positive, got {self.ratio!r}")
+        for name in ("num_pages", "batches", "batch_size"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+
     # ------------------------------------------------------------------
     @property
     def fast_pages(self) -> int:

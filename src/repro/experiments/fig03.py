@@ -56,14 +56,13 @@ def run_fig03b(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, float]:
     """Slowdown (%) of slow-tier-only vs fast-tier-only execution.
 
     Implemented as the paper does: bind the workload's memory to one
     tier by sizing the other to (almost) nothing, with no migration.
     """
-    reports = resolve_executor(executor, workers, backend=backend).run(
+    reports = resolve_executor(executor, workers).run(
         fig03b_jobs(config, workloads)
     )
     slowdowns: dict[str, float] = {}

@@ -41,10 +41,9 @@ def run_fig11(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, dict[str, SimulationReport]]:
     """Run the full grid; returns reports[workload][system]."""
-    results = resolve_executor(executor, workers, backend=backend).run(
+    results = resolve_executor(executor, workers).run(
         fig11_jobs(config, workloads, systems)
     )
     flat = iter(results)

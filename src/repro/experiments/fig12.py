@@ -39,10 +39,9 @@ def run_fig12(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, dict[tuple[int, int], dict[str, float]]]:
     """Returns runtimes[workload][ratio][system] in seconds."""
-    reports = resolve_executor(executor, workers, backend=backend).run(
+    reports = resolve_executor(executor, workers).run(
         fig12_jobs(config, workloads, ratios)
     )
     flat = iter(reports)

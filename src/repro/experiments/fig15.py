@@ -43,9 +43,9 @@ def _pagerank_neomem_job(
     )
 
 
-def _normalized_runtimes(points, jobs, executor, workers, backend=None) -> dict:
+def _normalized_runtimes(points, jobs, executor, workers) -> dict:
     """Execute the jobs; return point -> best_time / time."""
-    reports = resolve_executor(executor, workers, backend=backend).run(jobs)
+    reports = resolve_executor(executor, workers).run(jobs)
     times = {point: report.total_time_s for point, report in zip(points, reports)}
     best = min(times.values())
     return {point: best / t for point, t in times.items()}
@@ -57,7 +57,6 @@ def run_fig15a(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ):
     """Runtime vs migration interval (normalized to the best)."""
     jobs = [
@@ -68,7 +67,7 @@ def run_fig15a(
         )
         for interval in intervals
     ]
-    return _normalized_runtimes(intervals, jobs, executor, workers, backend)
+    return _normalized_runtimes(intervals, jobs, executor, workers)
 
 
 def run_fig15b(
@@ -77,7 +76,6 @@ def run_fig15b(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ):
     """Runtime vs migration quota (normalized to the best)."""
     from dataclasses import replace
@@ -86,7 +84,7 @@ def run_fig15b(
         _pagerank_neomem_job(replace(config, quota_bytes_per_s=quota))
         for quota in quotas
     ]
-    return _normalized_runtimes(quotas, jobs, executor, workers, backend)
+    return _normalized_runtimes(quotas, jobs, executor, workers)
 
 
 def run_fig15c(
@@ -134,7 +132,6 @@ def run_fig15d(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ):
     """End-to-end performance vs sketch width (normalized to best)."""
     jobs = [
@@ -145,4 +142,4 @@ def run_fig15d(
         )
         for width in widths
     ]
-    return _normalized_runtimes(widths, jobs, executor, workers, backend)
+    return _normalized_runtimes(widths, jobs, executor, workers)

@@ -35,10 +35,9 @@ def run_fig17(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, dict[str, SimulationReport]]:
     """Run NeoMem and Memtis over the benchmark suite."""
-    reports = resolve_executor(executor, workers, backend=backend).run(
+    reports = resolve_executor(executor, workers).run(
         fig17_jobs(config, workloads)
     )
     flat = iter(reports)

@@ -79,10 +79,9 @@ def run_kvcache(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> list[dict]:
     """Run the grid; one result row per (context, tier mode, strategy)."""
-    reports = resolve_executor(executor, workers, backend=backend).run(
+    reports = resolve_executor(executor, workers).run(
         kvcache_jobs(config, contexts, strategies, tier_modes)
     )
     rows = []

@@ -72,10 +72,9 @@ def run_overhead(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> dict[str, float]:
     """Return baseline/profiled runtimes and the slowdown percentage."""
-    baseline, profiled = resolve_executor(executor, workers, backend=backend).run(
+    baseline, profiled = resolve_executor(executor, workers).run(
         overhead_jobs(config)
     )
     baseline_s = baseline.total_time_s

@@ -409,11 +409,9 @@ class SweepExecutor:
             non-serializable annotations; ``"strip"`` drops the
             offending keys instead.
         backend: An :class:`~repro.experiments.backends.ExecutionBackend`
-            instance, a registry name (``"serial"``, ``"process-pool"``,
-            ``"sharded"``), or ``None`` to resolve from the environment
-            (``REPRO_SWEEP_BACKEND``, or ``REPRO_SWEEP_SHARD`` /
-            ``REPRO_SWEEP_NUM_SHARDS``) and fall back to serial-or-pool
-            from ``workers``.
+            instance, or ``None`` to resolve from the environment
+            (``REPRO_SWEEP_SHARD`` / ``REPRO_SWEEP_NUM_SHARDS``) and fall
+            back to serial-or-pool from ``workers``.
 
     Identical specs within one ``run`` call execute once and share the
     result; results always come back in job order.  Under a sharded
@@ -595,15 +593,14 @@ def resolve_executor(
     executor: SweepExecutor | None = None,
     workers: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    backend=None,
 ) -> SweepExecutor:
     """The executor every ``run_*`` harness uses: the caller's, or a
-    fresh one honouring ``workers=``/``backend=`` and the environment
-    knobs (``REPRO_SWEEP_WORKERS``, ``REPRO_SWEEP_CACHE``,
-    ``REPRO_SWEEP_BACKEND``, ``REPRO_SWEEP_SHARD`` + ``_NUM_SHARDS``)."""
+    fresh one honouring ``workers=`` and the environment knobs
+    (``REPRO_SWEEP_WORKERS``, ``REPRO_SWEEP_CACHE``,
+    ``REPRO_SWEEP_SHARD`` + ``_NUM_SHARDS``)."""
     if executor is not None:
         return executor
-    return SweepExecutor(workers=workers, cache_dir=cache_dir, backend=backend)
+    return SweepExecutor(workers=workers, cache_dir=cache_dir)
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +635,6 @@ def run_replicated(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend=None,
 ) -> list:
     """Run each spec at ``n_seeds`` seeds; one
     :class:`~repro.experiments.reporting.ReplicaStats` per input spec.
@@ -655,7 +651,7 @@ def run_replicated(
             return report.total_time_s
 
     specs = list(specs)
-    results = resolve_executor(executor, workers, backend=backend).run(
+    results = resolve_executor(executor, workers).run(
         replicate(specs, n_seeds)
     )
     stats = summarize_replicas([metric(result) for result in results], n_seeds)

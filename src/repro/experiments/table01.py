@@ -119,10 +119,9 @@ def run_table01(
     *,
     executor: SweepExecutor | None = None,
     workers: int | None = None,
-    backend: str | None = None,
 ) -> list[TechniqueRow]:
     """Measure each profiling technique on the same workload."""
-    reports = resolve_executor(executor, workers, backend=backend).run(
+    reports = resolve_executor(executor, workers).run(
         table01_jobs(config, workload_name)
     )
     rows: list[TechniqueRow] = []

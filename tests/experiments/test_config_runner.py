@@ -1,5 +1,7 @@
 """Tests for the experiment configuration and runner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,24 @@ class TestConfig:
         assert cfg.neoprof_config().mmio_latency_ns == pytest.approx(
             500.0 * cfg.overhead_scale
         )
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("ratio", {"ratio": (0, 2)}),
+            ("ratio", {"ratio": (1, 0)}),
+            ("ratio", {"ratio": (-1, 2)}),
+            ("num_pages", {"num_pages": -5}),
+            ("num_pages", {"num_pages": 0}),
+            ("batches", {"batches": 0}),
+            ("batch_size", {"batch_size": -1}),
+        ],
+    )
+    def test_non_positive_values_rejected(self, field, overrides):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**overrides)
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(SMOKE_CONFIG, **overrides)
 
     def test_every_benchmark_has_rss_factor(self):
         for name in BENCHMARKS:

@@ -6,15 +6,7 @@ helper that renders the same rows/series the paper reports; the
 ``benchmarks/`` harnesses call both.
 """
 
-from repro.experiments.backends import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ShardedBackend,
-    ShardMergeError,
-    merge_shards,
-    resolve_backend,
-)
+from repro.experiments.backends import ProcessPoolBackend
 from repro.experiments.colocation import (
     build_colocation,
     colocation_job,
@@ -57,14 +49,10 @@ from repro.experiments.sweep import (
 __all__ = [
     "DEFAULT_CONFIG",
     "SMOKE_CONFIG",
-    "ExecutionBackend",
     "ExperimentConfig",
     "JobSpec",
     "ProcessPoolBackend",
     "ReplicaStats",
-    "SerialBackend",
-    "ShardMergeError",
-    "ShardedBackend",
     "SweepError",
     "SweepExecutor",
     "SweepSerializationError",
@@ -80,10 +68,8 @@ __all__ = [
     "geomean",
     "job_key",
     "make_tenant_specs",
-    "merge_shards",
     "replica_stats",
     "replicate",
-    "resolve_backend",
     "resolve_executor",
     "run_colocation",
     "run_colocation_sweep",

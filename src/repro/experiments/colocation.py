@@ -312,7 +312,7 @@ def colocation_sweep_solo_jobs(
     One baseline per tenant per tenant count (scheduler-independent);
     the ids map results back onto the co-located reports.  Exposed so
     drivers that enumerate the sweep's work — ``run_colocation_sweep``
-    and the sharded ``sweep_cli`` — cover the same job set.
+    and ``sweep_cli`` — cover the same job set.
     """
     solo_jobs: list[JobSpec] = []
     solo_ids: list[tuple[int, str]] = []

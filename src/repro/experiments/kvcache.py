@@ -17,8 +17,8 @@ under one placement strategy and one tier mode, and reports
 * **migration traffic** — pages promoted + demoted over the run.
 
 Jobs are plain :class:`~repro.experiments.sweep.JobSpec`s, so the grid
-runs through any executor backend (serial / process pool / sharded) and
-lands in the content-addressed result cache like every other figure.
+runs serially or on a process pool and lands in the content-addressed
+result cache like every other figure.
 """
 
 from __future__ import annotations

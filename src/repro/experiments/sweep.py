@@ -8,12 +8,10 @@ This module turns that structure into data:
   point: workload, policy, configuration, seed, and (for non-standard
   runs) dotted-path references to a policy factory, a result extractor,
   or an alternative runner.  A spec fully determines its result.
-* :class:`SweepExecutor` — runs a list of JobSpecs through a pluggable
-  :class:`~repro.experiments.backends.ExecutionBackend`: serial (the
-  deterministic default), a ``ProcessPoolExecutor`` fan-out
-  (``workers=`` / ``REPRO_SWEEP_WORKERS``), or a deterministic shard of
-  the list for multi-host execution (``REPRO_SWEEP_SHARD`` /
-  ``REPRO_SWEEP_NUM_SHARDS``; see :mod:`repro.experiments.backends`).
+* :class:`SweepExecutor` — runs a list of JobSpecs through a
+  :class:`~repro.experiments.backends.ProcessPoolBackend`: inline and
+  serial with one worker (the deterministic default), or fanned over a
+  warm ``ProcessPoolExecutor`` (``workers=`` / ``REPRO_SWEEP_WORKERS``).
 * an on-disk result cache keyed by :func:`job_key` — a stable hash of
   the spec's canonical JSON, salted with a fingerprint of the simulator
   sources so editing the models invalidates stale entries — so repeated
@@ -385,8 +383,6 @@ class SweepStats:
     cache_hits: int = 0
     cache_misses: int = 0
     deduplicated: int = 0
-    #: jobs left to other shards by a ShardedBackend
-    shard_skipped: int = 0
     #: accumulated process-pool dispatch-overhead ns by phase:
     #: ``trace_build`` (parent-side, before a fresh pool forks),
     #: ``job_pickle`` and ``worker_warmup``
@@ -397,7 +393,7 @@ class SweepExecutor:
     """Run JobSpecs through an execution backend, with caching.
 
     Args:
-        workers: Process count for the default local backends.  ``None``
+        workers: Process count for the default backend.  ``None``
             reads ``REPRO_SWEEP_WORKERS``, defaulting to 1 (serial,
             deterministic, no pool overhead).
         cache_dir: Result-cache directory.  ``None`` reads
@@ -408,17 +404,12 @@ class SweepExecutor:
         unpicklable: ``"error"`` (default) rejects results with
             non-serializable annotations; ``"strip"`` drops the
             offending keys instead.
-        backend: An :class:`~repro.experiments.backends.ExecutionBackend`
-            instance, or ``None`` to resolve from the environment
-            (``REPRO_SWEEP_SHARD`` / ``REPRO_SWEEP_NUM_SHARDS``) and fall
-            back to serial-or-pool from ``workers``.
+        backend: A :class:`~repro.experiments.backends.ProcessPoolBackend`
+            instance (for example a spawn pool), or ``None`` for a
+            fork pool of ``workers`` processes.
 
     Identical specs within one ``run`` call execute once and share the
-    result; results always come back in job order.  Under a sharded
-    backend, out-of-shard jobs come back as the
-    :data:`~repro.experiments.backends.SHARD_SKIPPED` marker — harness
-    aggregation only makes sense after :func:`merge_shards` fans the
-    per-shard caches back together.
+    result; results always come back in job order.
     """
 
     def __init__(
@@ -429,7 +420,7 @@ class SweepExecutor:
         backend=None,
     ):
         # deferred: backends imports this module for JobSpec/job_key
-        from repro.experiments.backends import resolve_backend
+        from repro.experiments.backends import ProcessPoolBackend
 
         if workers is None:
             env = _env_int(WORKERS_ENV)
@@ -444,27 +435,13 @@ class SweepExecutor:
             )
         self.workers = workers
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        if self.cache_dir is not None:
-            # eagerly: a shard owning zero jobs must still produce a
-            # (valid, empty) cache directory for merge_shards/artifacts
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.unpicklable = unpicklable
-        self.backend = resolve_backend(backend, workers=workers)
+        self.backend = backend if backend is not None else ProcessPoolBackend(workers)
         self.stats = SweepStats()
 
     # ------------------------------------------------------------------
-    def run(self, jobs: Sequence[JobSpec], *, allow_partial: bool = False) -> list:
-        """Execute every job, returning results in job order.
-
-        Under a sharded backend, out-of-shard jobs whose results are
-        not already cached come back as skip markers.  Aggregating
-        over such a partial slice is meaningless, so by default the
-        run fails fast; the sharded driver (``sweep_cli run``) passes
-        ``allow_partial=True`` because the cache slice, not the return
-        value, is its output.
-        """
-        from repro.experiments.backends import is_shard_skipped
-
+    def run(self, jobs: Sequence[JobSpec]) -> list:
+        """Execute every job, returning results in job order."""
         tel = get_telemetry()
         jobs = list(jobs)
         keys = [job_key(spec) for spec in jobs]
@@ -489,32 +466,14 @@ class SweepExecutor:
             for phase, ns in self.backend.last_dispatch_ns.items():
                 self.stats.dispatch_ns[phase] = self.stats.dispatch_ns.get(phase, 0) + ns
             walls = self.backend.last_job_wall_ns
-            for i, (key, result) in enumerate(zip(pending, executed)):
+            for key, result, wall_ns in zip(pending, executed, walls):
                 results[key] = result
-                if is_shard_skipped(result):
-                    self.stats.shard_skipped += 1
-                    continue
-                # a miss is a job this run actually had to execute —
-                # out-of-shard jobs were never this shard's work
                 if self.cache_dir is not None:
                     self.stats.cache_misses += 1
                 self._cache_store(key, result)
-                self._manifest_store(
-                    key,
-                    pending[key],
-                    result,
-                    wall_ns=walls[i] if i < len(walls) else None,
-                )
+                self._manifest_store(key, pending[key], result, wall_ns=wall_ns)
                 self.stats.executed += 1
-        out = [results[key] for key in keys]
-        if not allow_partial and any(is_shard_skipped(r) for r in out):
-            raise SweepError(
-                "run() returned shard-skipped results — a sharded run "
-                "produces a per-shard cache slice, not a result set; run "
-                "every shard (sweep_cli run), merge_shards() the caches, "
-                "then re-run unsharded against the merged cache"
-            )
-        return out
+        return [results[key] for key in keys]
 
     def __call__(self, jobs: Sequence[JobSpec]) -> list:
         return self.run(jobs)
@@ -533,10 +492,10 @@ class SweepExecutor:
         return False
 
     def is_cached(self, spec: JobSpec) -> bool:
-        """True when this spec's result is already in the on-disk cache
-        (always False with caching disabled)."""
-        path = self._cache_path(job_key(spec))
-        return path is not None and path.exists()
+        """True when this spec's result is in the on-disk cache and
+        loads (always False with caching disabled).  A torn entry is a
+        miss, exactly as ``run`` would treat it."""
+        return self._cache_load(job_key(spec)) is not _CACHE_MISS
 
     # ------------------------------------------------------------------
     def _cache_path(self, key: str) -> Path | None:
@@ -596,8 +555,7 @@ def resolve_executor(
 ) -> SweepExecutor:
     """The executor every ``run_*`` harness uses: the caller's, or a
     fresh one honouring ``workers=`` and the environment knobs
-    (``REPRO_SWEEP_WORKERS``, ``REPRO_SWEEP_CACHE``,
-    ``REPRO_SWEEP_SHARD`` + ``_NUM_SHARDS``)."""
+    (``REPRO_SWEEP_WORKERS``, ``REPRO_SWEEP_CACHE``)."""
     if executor is not None:
         return executor
     return SweepExecutor(workers=workers, cache_dir=cache_dir)
@@ -614,8 +572,8 @@ def replicate(specs: Sequence[JobSpec], n_seeds: int) -> list[JobSpec]:
     point's replicas contiguous — ``out[i * n_seeds : (i + 1) * n_seeds]``
     are the replicas of ``specs[i]`` — which is the layout
     :func:`~repro.experiments.reporting.summarize_replicas` reduces.
-    Replicas are real JobSpecs: they dedup, cache and shard exactly
-    like any other job.
+    Replicas are real JobSpecs: they dedup and cache exactly like any
+    other job.
     """
     if n_seeds < 1:
         raise SweepError(f"n_seeds must be >= 1, got {n_seeds}")

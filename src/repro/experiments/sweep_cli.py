@@ -1,43 +1,41 @@
-"""Command-line sweep driver for sharded (CI / multi-host) execution.
+"""Command-line sweep driver: digest or trace a named job set.
 
-Each host runs its deterministic slice of a named job set against a
-private cache directory, the caches travel (CI artifacts, rsync), and
-a fan-in host merges them and aggregates — the same executor pipeline
-the Python harnesses use, driven from a shell:
+The same executor pipeline the Python harnesses use, driven from a
+shell.  ``digest`` runs a job set (serial, or on a pool with
+``REPRO_SWEEP_WORKERS``) and prints the content hash of its results;
+with ``--cache-dir`` it fills a result cache that a later
+``--require-cached`` digest replays without executing anything:
 
 .. code-block:: bash
 
-    # host 0 of 2 (and symmetrically host 1)
-    REPRO_SWEEP_SHARD=0 REPRO_SWEEP_NUM_SHARDS=2 REPRO_SWEEP_WORKERS=2 \\
-        python -m repro.experiments.sweep_cli run fig12 --cache-dir .shard0
-
-    # fan-in: one cache, then a fully-cached serial pass
-    python -m repro.experiments.sweep_cli merge .merged .shard0 .shard1
+    # a 2-worker pool fills the cache...
+    REPRO_SWEEP_WORKERS=2 python -m repro.experiments.sweep_cli digest fig12 \\
+        --cache-dir .cache --out pool.digest
+    # ...a replay must be served entirely from it...
     python -m repro.experiments.sweep_cli digest fig12 \\
-        --cache-dir .merged --require-cached --out merged.digest
-
-    # ground truth: a from-scratch serial run of the same set
+        --cache-dir .cache --require-cached --out replay.digest
+    # ...and both must equal a from-scratch serial run
     python -m repro.experiments.sweep_cli digest fig12 --out serial.digest
-    cmp merged.digest serial.digest   # bit-identical, or the build fails
+    cmp pool.digest replay.digest && cmp pool.digest serial.digest
 
 ``digest`` hashes each job result's pickle independently (sha256 over
 per-job sha256s), so the digest is a content identity for the whole
 result set: two runs agree iff every job's result is bit-identical.
+``trace`` runs a job set serially with tracing on and exports a
+Perfetto-loadable Chrome trace.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import pickle
 import sys
 from pathlib import Path
 
-from repro.experiments.backends import SerialBackend, is_sharded_env, merge_shards
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import JobSpec, SweepExecutor, job_key
-from repro.telemetry import configure, export_chrome_trace, get_telemetry
+from repro.telemetry import configure, export_chrome_trace
 
 __all__ = ["JOB_SETS", "build_jobs", "results_digest", "main"]
 
@@ -86,8 +84,8 @@ def _kvcache_jobs(config: ExperimentConfig, args) -> list[JobSpec]:
 #: named job sets runnable from the shell; each maps (config, args) to
 #: the JobSpec list the matching Python harness would enumerate, and
 #: declares which subset flags it honours (the rest are rejected — a
-#: silently ignored --workloads would burn shard wall-clock on jobs
-#: the operator tried to exclude)
+#: silently ignored --workloads would burn wall clock on jobs the
+#: operator tried to exclude)
 JOB_SETS = {
     "fig11": (_fig11_jobs, frozenset({"workloads"})),
     "fig12": (_fig12_jobs, frozenset({"workloads", "ratios"})),
@@ -146,44 +144,6 @@ def _add_jobset_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_run(args) -> int:
-    executor = SweepExecutor(cache_dir=args.cache_dir)
-    if is_sharded_env() and executor.cache_dir is None:
-        print(
-            "error: a sharded run without --cache-dir (or REPRO_SWEEP_CACHE) "
-            "discards its results — the cache slice is the shard's output",
-            file=sys.stderr,
-        )
-        return 2
-    jobs = build_jobs(args)
-    executor.run(jobs, allow_partial=True)
-    stats = executor.stats
-    if executor.cache_dir is not None:
-        # manifest keeps a zero-job shard's artifact non-empty and
-        # records what produced this slice
-        manifest = {
-            "job_set": args.job_set,
-            "backend": executor.backend.describe(),
-            "jobs": len(jobs),
-            "executed": stats.executed,
-            "shard_skipped": stats.shard_skipped,
-        }
-        (executor.cache_dir / "SHARD.json").write_text(
-            json.dumps(manifest, indent=2) + "\n"
-        )
-    print(
-        f"[sweep-cli] {args.job_set}: {len(jobs)} jobs via "
-        f"{executor.backend.describe()} -> executed={stats.executed} "
-        f"cache_hits={stats.cache_hits} deduplicated={stats.deduplicated} "
-        f"shard_skipped={stats.shard_skipped}"
-    )
-    tel = get_telemetry()
-    if tel.tracing:
-        export_chrome_trace(args.trace_out, tel)
-        print(f"[sweep-cli] wrote Chrome trace to {args.trace_out}")
-    return 0
-
-
 def _cmd_trace(args) -> int:
     """Run a job set in trace mode and export a Perfetto-loadable trace.
 
@@ -193,7 +153,7 @@ def _cmd_trace(args) -> int:
     parent never sees.
     """
     tel = configure("trace")
-    executor = SweepExecutor(workers=1, cache_dir="", backend=SerialBackend())
+    executor = SweepExecutor(workers=1, cache_dir="")
     jobs = build_jobs(args)
     if args.limit is not None:
         jobs = jobs[: args.limit]
@@ -207,37 +167,26 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_merge(args) -> int:
-    stats = merge_shards(args.sources, args.dest)
-    print(
-        f"[sweep-cli] merged {stats.shards} shard dirs into {args.dest}: "
-        f"{stats.merged} entries, {stats.duplicates} duplicates"
-    )
-    return 0
-
-
 def _cmd_digest(args) -> int:
-    # digesting is always a serial, unsharded pass: with a merged cache
-    # it only loads entries; without one it is the ground-truth run
-    executor = SweepExecutor(
-        workers=1, cache_dir=args.cache_dir or "", backend=SerialBackend()
-    )
-    jobs = build_jobs(args)
-    if args.require_cached:
-        # precheck coverage: failing fast costs milliseconds, whereas
-        # run() would execute every uncovered job to completion — and
-        # write the results into the cache being diagnosed
-        unique = {job_key(spec): spec for spec in jobs}
-        missing = sum(1 for spec in unique.values() if not executor.is_cached(spec))
-        if missing:
-            print(
-                f"error: --require-cached, but {missing} of {len(unique)} "
-                "cache entries are missing — the merged cache does not cover "
-                "the job set",
-                file=sys.stderr,
-            )
-            return 2
-    results = executor.run(jobs)
+    # REPRO_SWEEP_WORKERS chooses serial or pool; with --cache-dir the
+    # run fills (or replays) the cache, without one nothing is cached
+    with SweepExecutor(cache_dir=args.cache_dir or "") as executor:
+        jobs = build_jobs(args)
+        if args.require_cached:
+            # precheck coverage: failing fast costs milliseconds, whereas
+            # run() would execute every uncovered job to completion — and
+            # write the results into the cache being diagnosed
+            unique = {job_key(spec): spec for spec in jobs}
+            missing = sum(1 for spec in unique.values() if not executor.is_cached(spec))
+            if missing:
+                print(
+                    f"error: --require-cached, but {missing} of {len(unique)} "
+                    "cache entries are missing or unreadable — the cache does "
+                    "not cover the job set",
+                    file=sys.stderr,
+                )
+                return 2
+        results = executor.run(jobs)
     stats = executor.stats
     digest = results_digest(results)
     print(
@@ -255,16 +204,6 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute a job set (honours shard env)")
-    _add_jobset_flags(run_p)
-    run_p.add_argument("--cache-dir", default=None)
-    run_p.add_argument(
-        "--trace-out",
-        default="sweep_trace.json",
-        help="Chrome-trace output path (written when REPRO_TELEMETRY=trace)",
-    )
-    run_p.set_defaults(func=_cmd_run)
-
     trace_p = sub.add_parser(
         "trace",
         help="run a job set with tracing on; export a Perfetto trace",
@@ -274,14 +213,7 @@ def main(argv=None) -> int:
     trace_p.add_argument("--limit", type=int, default=None, help="trace only the first N jobs")
     trace_p.set_defaults(func=_cmd_trace)
 
-    merge_p = sub.add_parser("merge", help="fan per-shard caches into one")
-    merge_p.add_argument("dest")
-    merge_p.add_argument("sources", nargs="+")
-    merge_p.set_defaults(func=_cmd_merge)
-
-    digest_p = sub.add_parser(
-        "digest", help="serial pass over a job set; print/write its content hash"
-    )
+    digest_p = sub.add_parser("digest", help="run a job set; print/write its content hash")
     _add_jobset_flags(digest_p)
     digest_p.add_argument("--cache-dir", default=None)
     digest_p.add_argument("--require-cached", action="store_true")

@@ -11,8 +11,8 @@ track after its workload/policy.
 the job's cache entry: the job's content hash (which *is* its config
 hash), seed, the repo's git revision, and the run's per-phase
 wall-clock totals when telemetry was enabled.  ``MANIFEST.jsonl`` is
-append-only and survives :func:`~repro.experiments.backends.merge_shards`
-fan-in, so a merged cache still says where every entry came from.
+append-only, so a cache directory still says where every entry came
+from.
 """
 
 from __future__ import annotations

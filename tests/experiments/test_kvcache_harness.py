@@ -81,25 +81,14 @@ class TestBackendBitIdentity:
             parallel = pool.run(jobs)
         assert results_digest(serial) == results_digest(parallel)
 
-    def test_two_shard_split_covers_serial_exactly(self, tmp_path, monkeypatch):
+    def test_pool_cache_replay_matches_serial(self, tmp_path):
         jobs = tiny_jobs()
         serial = SweepExecutor(workers=1, cache_dir="").run(jobs)
-        caches = []
-        for shard in (0, 1):
-            monkeypatch.setenv("REPRO_SWEEP_SHARD", str(shard))
-            monkeypatch.setenv("REPRO_SWEEP_NUM_SHARDS", "2")
-            cache = tmp_path / f"shard{shard}"
-            caches.append(cache)
-            SweepExecutor(workers=1, cache_dir=cache).run(jobs, allow_partial=True)
-        monkeypatch.delenv("REPRO_SWEEP_SHARD")
-        monkeypatch.delenv("REPRO_SWEEP_NUM_SHARDS")
-        from repro.experiments.backends import merge_shards
-
-        merged = tmp_path / "merged"
-        merge_shards(caches, merged)
-        replay = SweepExecutor(workers=1, cache_dir=merged)
+        with SweepExecutor(workers=2, cache_dir=tmp_path) as pool:
+            pool.run(jobs)
+        replay = SweepExecutor(workers=1, cache_dir=tmp_path)
         results = replay.run(jobs)
-        assert replay.stats.executed == 0  # fully served from the merge
+        assert replay.stats.executed == 0  # fully served from the pool's cache
         assert results_digest(results) == results_digest(serial)
 
 

@@ -225,16 +225,29 @@ class TestCache:
         for a, b in zip(cold, warm):
             assert a.epochs == b.epochs
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda blob: b"not a pickle", lambda blob: blob[: len(blob) // 2]],
+        ids=["garbage", "truncated"],
+    )
+    def test_corrupt_entry_is_a_miss(self, tmp_path, damage):
         job = JobSpec("gups", "first-touch", TINY)
         executor = SweepExecutor(cache_dir=tmp_path)
-        executor.run([job])
+        first = executor.run([job])[0]
         path = tmp_path / f"{job_key(job)}.pkl"
-        path.write_bytes(b"not a pickle")
+        path.write_bytes(damage(path.read_bytes()))
         again = SweepExecutor(cache_dir=tmp_path)
+        assert not again.is_cached(job)
         report = again.run([job])[0]
         assert again.stats.cache_hits == 0
-        assert report.total_time_ns > 0
+        assert again.stats.executed == 1
+        assert report.total_time_ns == first.total_time_ns
+        # the miss rewrote the entry: a third executor only hits
+        third = SweepExecutor(cache_dir=tmp_path)
+        assert third.is_cached(job)
+        third.run([job])
+        assert third.stats.cache_hits == 1
+        assert third.stats.executed == 0
 
     def test_none_result_still_caches(self, tmp_path):
         job = JobSpec(

@@ -1,12 +1,12 @@
-"""Tests for the sweep CLI: the exact flow the CI sharded matrix runs."""
+"""Tests for the sweep CLI: the pool/replay/serial digest flow CI runs."""
 
 import json
 
 import pytest
 
-from repro.experiments.backends import NUM_SHARDS_ENV, SHARD_ENV
+from repro.experiments.sweep import WORKERS_ENV
 from repro.experiments.sweep_cli import main
-from repro.telemetry import configure
+from repro.telemetry import configure, read_manifest
 
 #: tiny-scale flags so the CLI flow stays test-suite sized
 # fmt: off
@@ -17,40 +17,27 @@ TINY_FLAGS = [
 # fmt: on
 
 
-def test_shard_merge_digest_flow(tmp_path, monkeypatch, capsys):
-    """Two sharded `run`s -> `merge` -> cached `digest` == fresh `digest`
-    (the CI fan-in job's bit-identity assertion, in miniature)."""
-    monkeypatch.setenv(NUM_SHARDS_ENV, "2")
-    for shard in ("0", "1"):
-        monkeypatch.setenv(SHARD_ENV, shard)
-        assert main(
-            ["run", "fig12", *TINY_FLAGS, "--cache-dir", str(tmp_path / f"s{shard}")]
-        ) == 0
-    monkeypatch.delenv(SHARD_ENV)
-    monkeypatch.delenv(NUM_SHARDS_ENV)
-
-    merged = tmp_path / "merged"
-    assert main(["merge", str(merged), str(tmp_path / "s0"), str(tmp_path / "s1")]) == 0
-
-    cached_out = tmp_path / "merged.digest"
-    assert main(
-        ["digest", "fig12", *TINY_FLAGS, "--cache-dir", str(merged),
-         "--require-cached", "--out", str(cached_out)]
-    ) == 0
-    fresh_out = tmp_path / "serial.digest"
-    assert main(["digest", "fig12", *TINY_FLAGS, "--out", str(fresh_out)]) == 0
-
-    assert cached_out.read_text() == fresh_out.read_text()
-    out = capsys.readouterr().out
-    assert "sharded[0/2" in out and "sharded[1/2" in out
+def digest(*flags: str) -> int:
+    """`digest` of the tiny fig12 job set with extra flags."""
+    return main(["digest", "fig12", *TINY_FLAGS, *flags])
 
 
-def test_sharded_run_without_cache_dir_is_refused(monkeypatch, capsys):
-    monkeypatch.setenv(SHARD_ENV, "0")
-    monkeypatch.setenv(NUM_SHARDS_ENV, "2")
-    monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
-    assert main(["run", "fig12", *TINY_FLAGS]) == 2
-    assert "discards its results" in capsys.readouterr().err
+def test_pool_replay_and_serial_digests_agree(tmp_path, monkeypatch, capsys):
+    """A 2-worker pool `digest` fills a cache, a `--require-cached`
+    replay executes nothing, and both equal a serial `digest`."""
+    cache = tmp_path / "cache"
+    pool_out, replay_out, serial_out = (
+        tmp_path / f"{name}.digest" for name in ("pool", "replay", "serial")
+    )
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    assert digest("--cache-dir", str(cache), "--out", str(pool_out)) == 0
+    monkeypatch.delenv(WORKERS_ENV)
+    capsys.readouterr()
+    assert digest("--cache-dir", str(cache), "--require-cached", "--out", str(replay_out)) == 0
+    assert "(executed=0 " in capsys.readouterr().out
+    assert digest("--out", str(serial_out)) == 0
+
+    assert pool_out.read_text() == replay_out.read_text() == serial_out.read_text()
 
 
 def test_require_cached_fails_on_cold_cache(tmp_path, capsys):
@@ -66,14 +53,30 @@ def test_require_cached_fails_on_cold_cache(tmp_path, capsys):
     assert list(cache.glob("*.pkl")) == []
 
 
+def test_require_cached_fails_on_torn_entry(tmp_path, capsys):
+    """A truncated cache entry does not count as cached: the replay
+    fails fast instead of silently re-running that job."""
+    cache = tmp_path / "cache"
+    assert digest("--cache-dir", str(cache)) == 0
+    entries = sorted(cache.glob("*.pkl"))
+    records = len(read_manifest(cache))
+    entries[0].write_bytes(entries[0].read_bytes()[:100])
+    capsys.readouterr()
+    assert digest("--cache-dir", str(cache), "--require-cached") == 2
+    assert "missing or unreadable" in capsys.readouterr().err
+    # no job executed: nothing was stored and no provenance appended
+    assert len(read_manifest(cache)) == records
+    assert len(list(cache.glob("*.pkl"))) == len(entries) - 1
+
+
 def test_unknown_job_set_rejected(capsys):
     with pytest.raises(SystemExit):
-        main(["run", "fig99"])
+        main(["digest", "fig99"])
 
 
 def test_malformed_ratios_rejected(tmp_path):
     with pytest.raises(SystemExit, match="invalid ratio"):
-        main(["run", "fig12", "--ratios", "1:2,14", "--cache-dir", str(tmp_path)])
+        main(["digest", "fig12", "--ratios", "1:2,14", "--cache-dir", str(tmp_path)])
 
 
 def test_trace_subcommand_writes_perfetto_trace(tmp_path, capsys):
@@ -100,27 +103,9 @@ def test_trace_subcommand_writes_perfetto_trace(tmp_path, capsys):
     assert "traced 2 jobs" in capsys.readouterr().out
 
 
-def test_run_subcommand_exports_trace_when_telemetry_on(tmp_path, capsys):
-    """REPRO_TELEMETRY=trace + `run` produces the Perfetto artifact
-    (the CI sweep-parallel job's trace step)."""
-    out = tmp_path / "sweep-trace.json"
-    configure("trace")
-    try:
-        assert main(
-            ["run", "fig12", *TINY_FLAGS, "--workloads", "gups",
-             "--cache-dir", str(tmp_path / "cache"), "--trace-out", str(out)]
-        ) == 0
-    finally:
-        configure("off")
-    document = json.loads(out.read_text())
-    assert document["otherData"]["mode"] == "trace"
-    assert any(e["ph"] == "X" for e in document["traceEvents"])
-    assert "wrote Chrome trace" in capsys.readouterr().out
-
-
 def test_unsupported_subset_flag_rejected(tmp_path):
     """Flags a job set would silently ignore are an error, not a no-op."""
     with pytest.raises(SystemExit, match="not supported"):
-        main(["run", "colocation", "--workloads", "gups", "--cache-dir", str(tmp_path)])
+        main(["digest", "colocation", "--workloads", "gups", "--cache-dir", str(tmp_path)])
     with pytest.raises(SystemExit, match="not supported"):
-        main(["run", "fig11", "--ratios", "1:2", "--cache-dir", str(tmp_path)])
+        main(["digest", "fig11", "--ratios", "1:2", "--cache-dir", str(tmp_path)])

@@ -1,6 +1,5 @@
 """Run-manifest provenance written next to sweep cache entries."""
 
-from repro.experiments.backends import merge_shards
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import JobSpec, SweepExecutor, job_key
 from repro.telemetry import git_revision, read_manifest
@@ -41,12 +40,3 @@ def test_no_cache_dir_means_no_manifest(tmp_path):
     executor.run(tiny_jobs())
     assert read_manifest(tmp_path) == []
 
-
-def test_merge_shards_concatenates_manifests(tmp_path):
-    a, b, merged = tmp_path / "a", tmp_path / "b", tmp_path / "m"
-    jobs = tiny_jobs()
-    SweepExecutor(workers=1, cache_dir=a).run(jobs[:1])
-    SweepExecutor(workers=1, cache_dir=b).run(jobs[1:])
-    merge_shards([a, b], merged)
-    records = read_manifest(merged)
-    assert {r["key"] for r in records} == {job_key(s) for s in jobs}

@@ -104,7 +104,6 @@ class NeoMemDaemon:
 
     # ------------------------------------------------------------------
     def bind(self, engine) -> None:
-        self.engine = engine
         if isinstance(self.threshold_policy, FixedThresholdPolicy):
             self.current_threshold = self.threshold_policy.threshold
             self.driver.set_threshold(int(self.current_threshold))
@@ -199,7 +198,7 @@ class NeoMemDaemon:
                 qualifying[:, None] * PAGES_PER_HUGE_PAGE
                 + np.arange(PAGES_PER_HUGE_PAGE)
             ).ravel()
-            spans = spans[spans < self.engine.page_table.num_pages]
+            spans = spans[spans < view.page_table.num_pages]
             vetoed = np.setdiff1d(spans, self.promotion_filter(spans))
             bad = np.unique(vetoed // PAGES_PER_HUGE_PAGE)
             qualifying = qualifying[~np.isin(qualifying, bad)]

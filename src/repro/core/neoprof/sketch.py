@@ -105,12 +105,8 @@ class CountMinSketch:
 
     _flat_index = flat_index
 
-    def _validate(self, lanes: np.ndarray, cols: np.ndarray) -> None:
-        """Zero-fill entries whose generation is stale, then mark valid."""
-        self._validate_flat(np.asarray(lanes, dtype=np.int64) * self.width
-                            + np.asarray(cols, dtype=np.int64))
-
     def _validate_flat(self, flat: np.ndarray) -> None:
+        """Zero-fill entries whose generation is stale, then mark valid."""
         gen = self._gen.reshape(-1)
         stale = flat[gen[flat] != self._current_gen]
         if stale.size:

@@ -36,28 +36,28 @@ from repro.telemetry import MODE_METRICS, Telemetry
 __all__ = ["ProcessPoolBackend"]
 
 
-def _run_payloads(payloads: Sequence[tuple[JobSpec, str]]) -> tuple[list, list[int]]:
-    """Run ``(spec, unpicklable)`` payloads in order; returns the results
-    and each job's wall-clock ns.  Each job is timed under a span of a
+def _run_specs(specs: Sequence[JobSpec]) -> tuple[list, list[int]]:
+    """Run specs in order; returns the results and each job's
+    wall-clock ns.  Each job is timed under a span of a
     private metrics-mode Telemetry, so measurement works regardless of
     the global mode."""
     results = []
     walls = []
-    for payload in payloads:
+    for spec in specs:
         tel = Telemetry(MODE_METRICS)
         with tel.span("job"):
-            results.append(_execute_job(payload))
+            results.append(_execute_job(spec))
         walls.append(tel.phase_totals().get("job", 0))
     return results, walls
 
 
 def _execute_chunk(blob: bytes):
-    """Process-pool entry point for one pre-pickled chunk of payloads.
+    """Process-pool entry point for one pre-pickled chunk of specs.
 
-    Runs every payload and ships back per-job wall clocks plus this
+    Runs every spec and ships back per-job wall clocks plus this
     worker's accumulated dispatch-overhead ns (warmup, consume-once).
     """
-    results, walls = _run_payloads(pickle.loads(blob))
+    results, walls = _run_specs(pickle.loads(blob))
     return results, walls, traceplane.consume_worker_ns()
 
 
@@ -224,7 +224,6 @@ class ProcessPoolBackend:
     def execute(
         self,
         specs: Sequence[JobSpec],
-        unpicklable: str = "error",
         keys: Sequence[str] | None = None,
     ) -> list:
         """Run every spec, returning sanitized results in spec order.
@@ -234,7 +233,7 @@ class ProcessPoolBackend:
         """
         self.last_dispatch_ns = {}
         if self.workers <= 1 or len(specs) <= 1:
-            results, self.last_job_wall_ns = _run_payloads([(spec, unpicklable) for spec in specs])
+            results, self.last_job_wall_ns = _run_specs(specs)
             return results
 
         if keys is None:
@@ -251,8 +250,8 @@ class ProcessPoolBackend:
         blobs = []
         with tel.span("job_pickle"):
             for chunk in chunks:
-                payloads = [(specs[i], unpicklable) for i in chunk]
-                blobs.append(pickle.dumps(payloads, protocol=pickle.HIGHEST_PROTOCOL))
+                chunk_specs = [specs[i] for i in chunk]
+                blobs.append(pickle.dumps(chunk_specs, protocol=pickle.HIGHEST_PROTOCOL))
 
         dispatch = {"job_pickle": tel.phase_totals().get("job_pickle", 0)}
         if self._pool is None:

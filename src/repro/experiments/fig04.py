@@ -36,7 +36,7 @@ class ProfileOnlyPolicy:
         self.profiler = profiler
 
     def bind(self, engine):
-        self.engine = engine
+        pass
 
     def on_epoch(self, view):
         if self.profiler is None:

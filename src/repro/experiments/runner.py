@@ -42,15 +42,24 @@ _DERIVED_CACHE_MAX = 4
 
 
 class _EpochAccountMemo:
-    """Record or replay the engine's per-epoch account products.
+    """Replay or record the engine's per-epoch account products.
+
+    Built from cached ``entries`` it replays them; built without, it
+    records a fresh list and publishes it to ``_DERIVED_CACHE`` under
+    ``key`` when the put of the trace's last epoch (``length`` epochs)
+    lands.  A ``max_epochs``-truncated run never reaches that epoch, so
+    it can never leave a partial memo that a later, longer run would
+    fall off the end of with cold filter state.
 
     Entries are copied on both put and get so neither the engine nor a
     policy mutating an ``EpochView`` array can corrupt the shared cache.
     """
 
-    def __init__(self, entries: list, record: bool) -> None:
-        self._entries = entries
-        self._record = record
+    def __init__(self, key: tuple, length: int, entries: list | None = None) -> None:
+        self._key = key
+        self._length = length
+        self._record = entries is None
+        self._entries = [] if entries is None else entries
 
     def get(self, epoch: int):
         if self._record or epoch >= len(self._entries):
@@ -58,10 +67,20 @@ class _EpochAccountMemo:
         return tuple(a.copy() for a in self._entries[epoch])
 
     def put(self, epoch: int, miss_mask, miss_pages, miss_is_write, touched) -> None:
-        if self._record and epoch == len(self._entries):
-            self._entries.append(
-                (miss_mask.copy(), miss_pages.copy(), miss_is_write.copy(), touched.copy())
-            )
+        if not self._record or epoch != len(self._entries):
+            return
+        self._entries.append(
+            (miss_mask.copy(), miss_pages.copy(), miss_is_write.copy(), touched.copy())
+        )
+        if len(self._entries) == self._length:
+            _bounded_insert(_DERIVED_CACHE, _DERIVED_CACHE_MAX, self._key, self._entries)
+
+
+def _bounded_insert(cache: dict, limit: int, key: tuple, value: list) -> None:
+    """Insert into a bounded in-process cache, evicting the oldest."""
+    while len(cache) >= limit:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
 
 
 def _workload_trace_key(workload, seed: int) -> tuple | None:
@@ -81,7 +100,7 @@ def _workload_trace_key(workload, seed: int) -> tuple | None:
 
 
 class _ReplayWorkload:
-    """Serves a recorded trace; everything else proxies to the inner
+    """Serves a materialized trace; everything else proxies to the inner
     workload.  Batches are handed out as fresh copies so a consumer
     mutating them cannot corrupt the cache."""
 
@@ -90,7 +109,7 @@ class _ReplayWorkload:
         self._trace = trace
 
     def next_batch(self, rng):
-        del rng  # the recorded run already consumed the stream
+        del rng  # materialize_trace already consumed the stream
         if self._inner.emitted >= len(self._trace):
             return None
         pages, is_write = self._trace[self._inner.emitted]
@@ -101,43 +120,16 @@ class _ReplayWorkload:
         return getattr(self._inner, name)
 
 
-class _RecordingWorkload:
-    """Passes batches through while recording them; publishes the trace
-    to the cache only once the workload runs to completion."""
-
-    def __init__(self, inner, key: tuple) -> None:
-        self._inner = inner
-        self._key = key
-        self._recorded: list = []
-
-    def next_batch(self, rng):
-        batch = self._inner.next_batch(rng)
-        if batch is None:
-            _cache_trace(self._key, self._recorded)
-        else:
-            self._recorded.append((batch[0].copy(), batch[1].copy()))
-        return batch
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def _cache_trace(key: tuple, trace: list) -> None:
-    """Insert a complete trace into the bounded in-process cache."""
-    while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-        _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-    _TRACE_CACHE[key] = trace
-
-
 def materialize_trace(workload, seed: int, key: tuple | None = None) -> list:
     """The complete ``(pages, is_write)`` trace of a fresh workload.
 
     Generates exactly what an engine run would consume: the engine's rng
     (``np.random.default_rng(seed)``) feeds nothing but ``next_batch``,
-    so draining a fresh workload here is bit-identical to recording it
-    from a live run.  Keyable traces are served from — and recorded
-    into — the in-process trace cache; the process-pool backend calls
-    this in the parent so forked workers inherit the traces.
+    so draining a fresh workload here is bit-identical to running it
+    live.  Keyable traces are served from — and recorded into — the
+    in-process trace cache.  :func:`run_one` replays every keyable
+    trace from here, and the process-pool backend calls this in the
+    parent so forked workers inherit the traces.
     """
     if key is None:
         key = _workload_trace_key(workload, seed)
@@ -153,68 +145,30 @@ def materialize_trace(workload, seed: int, key: tuple | None = None) -> list:
             break
         trace.append((batch[0].copy(), batch[1].copy()))
     if key is not None:
-        _cache_trace(key, trace)
+        _bounded_insert(_TRACE_CACHE, _TRACE_CACHE_MAX, key, trace)
     return trace
 
 
-def _with_trace_cache(workload, seed: int):
-    """Wrap a fresh workload for trace replay or recording."""
-    if getattr(workload, "emitted", None) != 0:
-        return workload
-    key = _workload_trace_key(workload, seed)
-    if key is None:
-        return workload
-    trace = _TRACE_CACHE.get(key)
-    if trace is not None:
-        return _ReplayWorkload(workload, trace)
-    return _RecordingWorkload(workload, key)
+def _replay_trace(workload, engine):
+    """Serve a fresh, keyable workload's trace to ``engine`` by replay.
 
-
-def _attach_trace_and_memo(workload, engine):
-    """Wire the trace cache and the derived account memo into an engine.
-
-    Returns ``(wrapped_workload, publish)``; ``publish`` (or None) must
-    be called after the run to commit newly recorded memo entries.  Memo
-    entries are only published when they cover a *complete* trace, so a
-    ``max_epochs``-truncated run can never leave a partial memo that a
-    later, longer run would fall off the end of with cold filter state.
+    The trace comes from :func:`materialize_trace` (cached or built
+    now), and the engine gets the derived account memo for the trace
+    on its LLC-filter geometry: a replaying one when a complete memo is
+    cached, else a recording one.  Any other workload runs live.
     """
-    seed = engine.config.seed
     if getattr(workload, "emitted", None) != 0:
-        return workload, None
+        return workload
+    seed = engine.config.seed
     key = _workload_trace_key(workload, seed)
     if key is None:
-        return workload, None
+        return workload
+    trace = materialize_trace(workload, seed, key)
+    workload.emitted = 0  # building the trace drained the workload
     cache = engine.cache
     dkey = (key, cache.capacity_pages, cache.max_page_id, cache.lines_per_page)
-    trace = _TRACE_CACHE.get(key)
-    if trace is not None:
-        entries = _DERIVED_CACHE.get(dkey)
-        if entries is not None:
-            engine.account_memo = _EpochAccountMemo(entries, record=False)
-            return _ReplayWorkload(workload, trace), None
-        fresh: list = []
-        engine.account_memo = _EpochAccountMemo(fresh, record=True)
-
-        def publish_replay() -> None:
-            if len(fresh) == len(trace):
-                while len(_DERIVED_CACHE) >= _DERIVED_CACHE_MAX:
-                    _DERIVED_CACHE.pop(next(iter(_DERIVED_CACHE)))
-                _DERIVED_CACHE[dkey] = fresh
-
-        return _ReplayWorkload(workload, trace), publish_replay
-
-    fresh = []
-    engine.account_memo = _EpochAccountMemo(fresh, record=True)
-
-    def publish_recording() -> None:
-        full = _TRACE_CACHE.get(key)
-        if full is not None and len(fresh) == len(full):
-            while len(_DERIVED_CACHE) >= _DERIVED_CACHE_MAX:
-                _DERIVED_CACHE.pop(next(iter(_DERIVED_CACHE)))
-            _DERIVED_CACHE[dkey] = fresh
-
-    return _RecordingWorkload(workload, key), publish_recording
+    engine.account_memo = _EpochAccountMemo(dkey, len(trace), _DERIVED_CACHE.get(dkey))
+    return _ReplayWorkload(workload, trace)
 
 
 def workload_pages(name: str, config: ExperimentConfig) -> int:
@@ -424,10 +378,8 @@ def run_one(
     )
     if prefill:
         warm_first_touch(engine)
-    engine.workload, publish_memo = _attach_trace_and_memo(workload, engine)
+    engine.workload = _replay_trace(workload, engine)
     report = engine.run()
-    if publish_memo is not None:
-        publish_memo()
     if keep_engine:
         report.annotations["policy_object"] = engine.policy
         report.annotations["engine"] = engine

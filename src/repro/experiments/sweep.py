@@ -307,14 +307,12 @@ def _is_live_engine(value) -> bool:
     return isinstance(value, SimulationEngine)
 
 
-def _sanitize_result(result, spec: JobSpec, unpicklable: str):
+def _sanitize_result(result, spec: JobSpec):
     """Guarantee a job result can cross the process/cache boundary.
 
     Rejects reports still carrying ``run_one(keep_engine=True)`` state
-    and any annotation that does not pickle.  ``unpicklable="error"``
-    raises :class:`SweepSerializationError` naming the offending keys;
-    ``"strip"`` drops them and records the dropped names under
-    ``annotations["stripped_annotations"]``.
+    and any annotation that does not pickle, raising
+    :class:`SweepSerializationError` naming the offending keys.
 
     The happy path costs one pickle of the whole result; the
     per-annotation scan only runs once something is already wrong.
@@ -323,19 +321,13 @@ def _sanitize_result(result, spec: JobSpec, unpicklable: str):
     if not isinstance(annotations, dict):
         annotations = None
 
-    def handle(bad: list[str]) -> None:
-        if unpicklable == "strip":
-            for key in bad:
-                annotations.pop(key)
-            recorded = annotations.get("stripped_annotations", [])
-            annotations["stripped_annotations"] = sorted({*recorded, *bad})
-        else:
-            raise SweepSerializationError(
-                f"job {spec.label()}: annotations {bad} cannot cross the "
-                "sweep boundary (live engines/policies from run_one("
-                "keep_engine=True), or values that do not pickle) — use a "
-                "JobSpec.extractor to reduce them to plain data"
-            )
+    def reject(bad: list[str]) -> None:
+        raise SweepSerializationError(
+            f"job {spec.label()}: annotations {bad} cannot cross the "
+            "sweep boundary (live engines/policies from run_one("
+            "keep_engine=True), or values that do not pickle) — use a "
+            "JobSpec.extractor to reduce them to plain data"
+        )
 
     if annotations:
         # live machine objects are rejected even when they pickle:
@@ -346,26 +338,22 @@ def _sanitize_result(result, spec: JobSpec, unpicklable: str):
             if k in _KEEP_ENGINE_KEYS or _is_live_engine(v)
         )
         if bad:
-            handle(bad)
+            reject(bad)
     if _picklable(result):
         return result
     if annotations:
         bad = sorted(k for k, v in annotations.items() if not _picklable(v))
         if bad:
-            handle(bad)
-            if _picklable(result):
-                return result
+            reject(bad)
     raise SweepSerializationError(
         f"job {spec.label()}: result of type {type(result).__name__} is not "
         "picklable and cannot be returned from a sweep"
     )
 
 
-def _execute_job(payload: tuple[JobSpec, str]):
+def _execute_job(spec: JobSpec):
     """Process-pool entry point: run one spec and sanitize its result."""
-    spec, unpicklable = payload
-    result = resolve(spec.runner)(spec)
-    return _sanitize_result(result, spec, unpicklable)
+    return _sanitize_result(resolve(spec.runner)(spec), spec)
 
 
 # ----------------------------------------------------------------------
@@ -401,9 +389,6 @@ class SweepExecutor:
             forces caching off regardless of the environment.  Entries
             are pickled results keyed by :func:`job_key`, written
             atomically, safe to share between concurrent runs.
-        unpicklable: ``"error"`` (default) rejects results with
-            non-serializable annotations; ``"strip"`` drops the
-            offending keys instead.
         backend: A :class:`~repro.experiments.backends.ProcessPoolBackend`
             instance (for example a spawn pool), or ``None`` for a
             fork pool of ``workers`` processes.
@@ -416,7 +401,6 @@ class SweepExecutor:
         self,
         workers: int | None = None,
         cache_dir: str | os.PathLike | None = None,
-        unpicklable: str = "error",
         backend=None,
     ):
         # deferred: backends imports this module for JobSpec/job_key
@@ -429,13 +413,8 @@ class SweepExecutor:
             raise SweepError(f"workers must be >= 1, got {workers}")
         if cache_dir is None:
             cache_dir = os.environ.get(CACHE_ENV, "").strip() or None
-        if unpicklable not in ("error", "strip"):
-            raise SweepError(
-                f"unpicklable must be 'error' or 'strip', got {unpicklable!r}"
-            )
         self.workers = workers
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.unpicklable = unpicklable
         self.backend = backend if backend is not None else ProcessPoolBackend(workers)
         self.stats = SweepStats()
 
@@ -460,9 +439,7 @@ class SweepExecutor:
                 pending[key] = spec
         if pending:
             with tel.span("sweep.dispatch"):
-                executed = self.backend.execute(
-                    list(pending.values()), self.unpicklable, keys=list(pending)
-                )
+                executed = self.backend.execute(list(pending.values()), keys=list(pending))
             for phase, ns in self.backend.last_dispatch_ns.items():
                 self.stats.dispatch_ns[phase] = self.stats.dispatch_ns.get(phase, 0) + ns
             walls = self.backend.last_job_wall_ns

@@ -12,7 +12,7 @@ so that lookups are O(associativity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,12 +124,6 @@ class Cache:
         self._tags.fill(-1)
         self._lru.fill(0)
         self._clock = 0
-
-
-@dataclass
-class _LevelResult:
-    hits: int = 0
-    misses: int = 0
 
 
 class CacheHierarchy:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 
 @dataclass
 class EpochMetrics:
@@ -52,44 +50,24 @@ class EpochMetrics:
         return self.accesses / (self.duration_ns * 1e-9)
 
 
-#: structured row type mirroring EpochMetrics: int fields as int64,
-#: float fields as float64 — both lossless for every value the engine
-#: records, so buffer reads reproduce the dataclass values exactly.
-_INT_FIELDS = frozenset(
-    {
-        "epoch",
-        "accesses",
-        "llc_misses",
-        "fast_hits",
-        "slow_hits",
-        "slow_read_bytes",
-        "slow_write_bytes",
-        "promoted_pages",
-        "demoted_pages",
-        "promoted_huge_pages",
-        "ping_pong_events",
-    }
-)
-EPOCH_DTYPE = np.dtype(
-    [(f.name, np.int64 if f.name in _INT_FIELDS else np.float64) for f in fields(EpochMetrics)]
-)
+#: the plain Python type of every EpochMetrics field; readouts cast
+#: through it, so a field assigned a NumPy scalar still reads back as a
+#: plain ``int``/``float``
+_FIELD_TYPES = {f.name: int if f.type == "int" else float for f in fields(EpochMetrics)}
 
 
 @dataclass
 class SimulationReport:
     """Aggregated results of one (workload, policy) simulation run.
 
-    Epoch rows are accumulated twice: the :class:`EpochMetrics` objects
-    (the stable per-epoch API, shared by identity with e.g. per-tenant
-    reports) and a preallocated structured numpy buffer that grows
-    geometrically.  Every aggregate and timeline readout is served from
-    the buffer, so end-of-run reductions are vectorized instead of
-    attribute-walking thousands of Python objects.
+    ``epochs`` is the only store of the run's rows: the
+    :class:`EpochMetrics` objects are shared by identity with e.g.
+    per-tenant reports, and every aggregate and timeline readout reduces
+    the list directly.
 
-    The float aggregates intentionally reduce with Python's sequential
-    left-to-right summation (via ``tolist``) rather than ``np.sum`` —
-    pairwise summation rounds differently, and reports are held to
-    bit-identity by the golden-fixture differential harness.
+    The float aggregates sum left to right with Python's ``sum`` rather
+    than ``np.sum`` — pairwise summation rounds differently, and reports
+    are held to bit-identity by the golden-fixture differential harness.
     """
 
     workload: str = ""
@@ -97,52 +75,18 @@ class SimulationReport:
     epochs: list[EpochMetrics] = field(default_factory=list)
     annotations: dict[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self._buf = np.zeros(max(len(self.epochs), 64), dtype=EPOCH_DTYPE)
-        self._n = 0
-        for metrics in self.epochs:
-            self._store_row(metrics)
-
-    # ------------------------------------------------------------------
-    def _store_row(self, metrics: EpochMetrics) -> None:
-        if self._n >= self._buf.size:
-            grown = np.zeros(self._buf.size * 2, dtype=EPOCH_DTYPE)
-            grown[: self._n] = self._buf[: self._n]
-            self._buf = grown
-        row = self._buf[self._n]
-        for name in EPOCH_DTYPE.names:
-            row[name] = getattr(metrics, name)
-        self._n += 1
-
     def append(self, metrics: EpochMetrics) -> None:
         self.epochs.append(metrics)
-        self._store_row(metrics)
 
-    def column(self, name: str) -> np.ndarray:
-        """One metric across all epochs, as a read-only numpy view."""
-        col = self._buf[name][: self._n]
-        col.flags.writeable = False
-        return col
-
-    # pickling: numpy structured buffers round-trip fine, but rebuilding
-    # from the epoch list keeps old pickles (list-only payloads) loadable
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_buf", None)
-        state.pop("_n", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._buf = np.zeros(max(len(self.epochs), 64), dtype=EPOCH_DTYPE)
-        self._n = 0
-        for metrics in self.epochs:
-            self._store_row(metrics)
+    def _values(self, name: str) -> list:
+        """One field across all epochs, as plain Python numbers."""
+        cast = _FIELD_TYPES[name]
+        return [cast(getattr(e, name)) for e in self.epochs]
 
     # ------------------------------------------------------------------
     @property
     def total_time_ns(self) -> float:
-        return sum(self.column("duration_ns").tolist())
+        return sum(self._values("duration_ns"))
 
     @property
     def total_time_s(self) -> float:
@@ -150,35 +94,35 @@ class SimulationReport:
 
     @property
     def total_accesses(self) -> int:
-        return int(self.column("accesses").sum())
+        return sum(self._values("accesses"))
 
     @property
     def total_llc_misses(self) -> int:
-        return int(self.column("llc_misses").sum())
+        return sum(self._values("llc_misses"))
 
     @property
     def total_slow_traffic_bytes(self) -> int:
-        return int(self.column("slow_read_bytes").sum() + self.column("slow_write_bytes").sum())
+        return sum(self._values("slow_read_bytes")) + sum(self._values("slow_write_bytes"))
 
     @property
     def total_promoted_pages(self) -> int:
-        return int(self.column("promoted_pages").sum())
+        return sum(self._values("promoted_pages"))
 
     @property
     def total_demoted_pages(self) -> int:
-        return int(self.column("demoted_pages").sum())
+        return sum(self._values("demoted_pages"))
 
     @property
     def total_promoted_huge_pages(self) -> int:
-        return int(self.column("promoted_huge_pages").sum())
+        return sum(self._values("promoted_huge_pages"))
 
     @property
     def total_ping_pong_events(self) -> int:
-        return int(self.column("ping_pong_events").sum())
+        return sum(self._values("ping_pong_events"))
 
     @property
     def total_profiling_overhead_ns(self) -> float:
-        return sum(self.column("profiling_overhead_ns").tolist())
+        return sum(self._values("profiling_overhead_ns"))
 
     @property
     def throughput_aps(self) -> float:
@@ -192,22 +136,19 @@ class SimulationReport:
         misses = self.total_llc_misses
         if misses == 0:
             return 0.0
-        return int(self.column("fast_hits").sum()) / misses
+        return sum(self._values("fast_hits")) / misses
 
     # ------------------------------------------------------------------
     def series(self, attr: str) -> list[float]:
         """Per-epoch timeline of one EpochMetrics attribute."""
-        if attr in EPOCH_DTYPE.names:
-            values = self.column(attr).tolist()
-            if attr in _INT_FIELDS:
-                return [int(v) for v in values]
-            return values
+        if attr in _FIELD_TYPES:
+            return self._values(attr)
         # derived properties (slow_traffic_bytes, throughput_aps, ...)
         return [getattr(e, attr) for e in self.epochs]
 
     def time_axis_s(self) -> list[float]:
         """Epoch start times in seconds (for timeline figures)."""
-        return [t * 1e-9 for t in self.column("sim_time_ns").tolist()]
+        return [t * 1e-9 for t in self._values("sim_time_ns")]
 
     def summary(self) -> dict[str, float]:
         """Compact dictionary used by the experiment tables.

@@ -22,6 +22,7 @@ charged to the epoch like kernel reclaim would be.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +49,35 @@ class QosConfig:
                 f"policy_scope must be one of {POLICY_SCOPES}, "
                 f"got {self.policy_scope!r}"
             )
+
+
+def _veto_over_quota(layout, quota_pages: dict, page_table, pages: np.ndarray) -> np.ndarray:
+    """Veto promotion candidates exceeding their tenant's allowance.
+
+    Bound by the arbiter into its ``quota_filter`` and installed as
+    every managed policy's ``promotion_filter``.  For each quota'd
+    tenant, candidates beyond the tenant's remaining fast-tier headroom
+    are dropped (earliest reports win, matching the FIFO order hot-page
+    reports arrive in).  It holds no reference to the arbiter, so the
+    policies and the arbiter form no reference cycle.
+    """
+    pages = np.asarray(pages, dtype=np.int64)
+    if pages.size == 0 or not quota_pages:
+        return pages
+    node_of_page = page_table.node_of_page
+    keep = np.ones(pages.size, dtype=bool)
+    for tenant, quota in quota_pages.items():
+        ns = layout.namespace(tenant)
+        owned_idx = np.nonzero(ns.owns(pages))[0]
+        if owned_idx.size == 0:
+            continue
+        resident = int((node_of_page[ns.base : ns.end] == 0).sum())
+        headroom = max(quota - resident, 0)
+        # candidates already on the fast node consume no headroom
+        movers = owned_idx[node_of_page[pages[owned_idx]] > 0]
+        if movers.size > headroom:
+            keep[movers[headroom:]] = False
+    return pages[keep]
 
 
 class TenantPolicyArbiter:
@@ -84,7 +114,6 @@ class TenantPolicyArbiter:
     # Policy protocol
     # ------------------------------------------------------------------
     def bind(self, engine) -> None:
-        self.engine = engine
         fast_capacity = engine.topology.fast_node.tier.capacity_pages
         if self.qos.enforce_quota:
             self._quota_pages = {
@@ -92,6 +121,9 @@ class TenantPolicyArbiter:
                 for spec in self.specs
                 if spec.fast_quota_fraction is not None
             }
+        self.quota_filter = partial(
+            _veto_over_quota, self.layout, self._quota_pages, engine.page_table
+        )
         for policy in self._distinct_policies():
             policy.bind(engine)
             if self._quota_pages:
@@ -110,10 +142,6 @@ class TenantPolicyArbiter:
         """Tell the arbiter which tenant's batch the next epoch runs."""
         self.current = tenant
 
-    def policy_for(self, tenant: str):
-        """The policy instance serving ``tenant`` (telemetry access)."""
-        return self.policies[tenant]
-
     def quota_pages_for(self, tenant: str) -> int | None:
         """Enforced fast-tier allowance in pages, or None if unlimited."""
         return self._quota_pages.get(tenant)
@@ -128,32 +156,6 @@ class TenantPolicyArbiter:
     # ------------------------------------------------------------------
     # fast-tier quota
     # ------------------------------------------------------------------
-    def quota_filter(self, pages: np.ndarray) -> np.ndarray:
-        """Veto promotion candidates exceeding their tenant's allowance.
-
-        Installed as every managed policy's ``promotion_filter``.  For
-        each quota'd tenant, candidates beyond the tenant's remaining
-        fast-tier headroom are dropped (earliest reports win, matching
-        the FIFO order hot-page reports arrive in).
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0 or not self._quota_pages:
-            return pages
-        node_of_page = self.engine.page_table.node_of_page
-        keep = np.ones(pages.size, dtype=bool)
-        for tenant, quota in self._quota_pages.items():
-            ns = self.layout.namespace(tenant)
-            owned_idx = np.nonzero(ns.owns(pages))[0]
-            if owned_idx.size == 0:
-                continue
-            resident = int((node_of_page[ns.base : ns.end] == 0).sum())
-            headroom = max(quota - resident, 0)
-            # candidates already on the fast node consume no headroom
-            movers = owned_idx[node_of_page[pages[owned_idx]] > 0]
-            if movers.size > headroom:
-                keep[movers[headroom:]] = False
-        return pages[keep]
-
     def _reclaim_over_quota(self, view, policy) -> float:
         """Demote each over-quota tenant's coldest fast-tier pages.
 

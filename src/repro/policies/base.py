@@ -49,7 +49,8 @@ class BaseTieringPolicy:
 
     # ------------------------------------------------------------------
     def bind(self, engine) -> None:
-        self.engine = engine
+        """Policies read the machine through each epoch's view; keeping
+        the engine would tie it and the policy in a reference cycle."""
 
     def on_epoch(self, view) -> float:
         tel = view.engine.telemetry

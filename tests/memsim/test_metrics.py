@@ -1,5 +1,8 @@
 """Tests for epoch metrics and simulation reports."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.memsim.metrics import EpochMetrics, SimulationReport
@@ -108,3 +111,27 @@ class TestSimulationReport:
         report = SimulationReport()
         report.append(make_epoch(0))
         assert not any(k.startswith("phase_") for k in report.summary())
+
+    def test_numpy_scalars_read_back_as_plain_numbers(self):
+        report = SimulationReport()
+        report.append(make_epoch(0, accesses=np.int64(7), threshold=np.float32(2.5)))
+        report.append(make_epoch(1, duration_ns=np.float64(0.1), llc_misses=np.int32(3)))
+        assert report.series("accesses") == [7, 100]
+        assert report.series("threshold") == [2.5, 0.0]
+        assert [type(v) for v in report.series("accesses")] == [int, int]
+        assert [type(v) for v in report.series("threshold")] == [float, float]
+        assert type(report.series("llc_misses")[1]) is int
+        assert type(report.total_accesses) is int and report.total_accesses == 107
+        assert type(report.total_llc_misses) is int
+        assert type(report.total_time_ns) is float
+        assert report.total_time_ns == 1000.0 + 0.1
+        assert type(report.time_axis_s()[0]) is float
+
+    def test_pickle_round_trip(self):
+        report = SimulationReport(workload="w", policy="p")
+        for i in range(3):
+            report.append(make_epoch(i, llc_misses=10, fast_hits=4))
+        report.annotations["telemetry"] = {"mode": "metrics", "phases": {}}
+        clone = pickle.loads(pickle.dumps(report))
+        assert clone == report
+        assert clone.summary() == report.summary()
